@@ -698,14 +698,15 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     }
   }
 
-  // -- incremental: edit-corpus replay against a recorded baseline -------
+  // -- incremental: edit-corpus replay against the base's result store ----
   // For each edited program, three legs re-analyze it EditReps times with
   // the cache state a fresh edit would see: cold (no cache at all), warm
-  // (the PR 6 path: a query cache populated by analyzing the base
-  // program), and incremental (the same warm cache plus the baseline
-  // recorded on the base program). Every leg's rendered result must match
-  // the cold one; the single-statement edits carry the >=5x target of
-  // incremental over warm.
+  // (a query cache populated by analyzing the base program), and
+  // incremental (the same warm cache plus a result store fed by the base
+  // program, with the base's fingerprints as the previous version, as in
+  // a served session). Every leg's rendered result must match the cold
+  // one; the single-statement edits carry the >=5x target of incremental
+  // over warm.
   struct EditLeg {
     std::string Name;
     bool SingleStmt;
@@ -758,34 +759,37 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
       // Warm and incremental legs share a setup: a fresh engine whose
       // query cache was populated by one analysis of the base program
       // (the state a long-lived server is in when the edit arrives). The
-      // cache is reset each rep by rebuilding the engine, so rep N never
-      // rides on rep N-1's own queries.
-      auto RunLeg = [&](bool UseBaseline, double &OutMs) {
+      // cache and store are reset each rep by rebuilding them, so rep N
+      // never rides on rep N-1's own queries.
+      auto RunLeg = [&](bool UseStore, double &OutMs) {
         std::string Render;
         double Total = 0;
         for (unsigned R = 0; R != EditReps; ++R) {
+          engine::ResultStore Store;
+          engine::VersionFingerprints None;
           engine::AnalysisRequest WReq;
           WReq.Jobs = 1;
-          WReq.BuildBaseline = UseBaseline;
+          WReq.Store = UseStore ? &Store : nullptr;
+          WReq.Previous = UseStore ? &None : nullptr;
           engine::DependenceEngine Engine(WReq);
           engine::AnalysisResult BaseRes = Engine.analyze(BaseAP);
           engine::AnalysisRequest EReq = WReq;
-          EReq.Baseline = UseBaseline ? BaseRes.Baseline.get() : nullptr;
+          EReq.Previous = BaseRes.Fingerprints.get();
           Engine.applyOptions(EReq);
           Clock::time_point LegStart = Clock::now();
           engine::AnalysisResult Result = Engine.analyze(EditAP);
           Total += msSince(LegStart);
           if (R == 0) {
             Render = renderResult(Result);
-            if (UseBaseline)
+            if (UseStore)
               Leg.Delta = Result.Delta;
           }
         }
         OutMs = Total;
         IncIdentical = IncIdentical && Render == ColdRender;
       };
-      RunLeg(/*UseBaseline=*/false, Leg.WarmMs);
-      RunLeg(/*UseBaseline=*/true, Leg.IncMs);
+      RunLeg(/*UseStore=*/false, Leg.WarmMs);
+      RunLeg(/*UseStore=*/true, Leg.IncMs);
       IncSectionMs += Leg.ColdMs + Leg.WarmMs + Leg.IncMs;
       EditLegs.push_back(std::move(Leg));
     }

@@ -85,13 +85,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
       {"--result-store-cap", nullptr, AS, true, "N",
        "bound the global pair-result store to N solved outcomes, "
        "evicting least-recently-used beyond that (0 = unbounded)"},
-      {"--baseline", nullptr, ToolAnalyze, true, "PATH",
-       "incremental re-analysis: reuse results from the baseline file "
-       "for pairs whose fingerprints are unchanged (byte-identical "
-       "output either way)"},
-      {"--save-baseline", nullptr, ToolAnalyze, true, "PATH",
-       "record this run's results as a baseline file for a future "
-       "--baseline run"},
       {"--transforms", nullptr, ToolAnalyze, false, nullptr,
        "report transformation opportunities"},
       {"--restraints", nullptr, ToolAnalyze, false, nullptr,
@@ -114,8 +107,10 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "default per-request deadline; overdue queued requests are shed "
        "with 'deadline_exceeded' (0 = none)"},
       {"--max-sessions", nullptr, ToolServe, true, "N",
-       "incremental sessions whose baselines stay retained, LRU-evicted "
-       "beyond N (requests opt in with a \"session\" key)"},
+       "incremental sessions whose previous-version fingerprints stay "
+       "retained for metrics.delta, LRU-evicted beyond N (requests opt "
+       "in with a \"session\" key; reuse itself goes through the result "
+       "store)"},
       {"--no-coalesce", nullptr, ToolServe, false, nullptr,
        "do not coalesce concurrent identical sessionless requests onto "
        "one engine solve"},
@@ -218,11 +213,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     if (!parseUnsigned(Val, U))
       return BadNum();
     O.ResultStoreCap = U;
-  } else if (Flag == "--baseline")
-    O.BaselineFile = Val;
-  else if (Flag == "--save-baseline")
-    O.SaveBaselineFile = Val;
-  else if (Flag == "--transforms")
+  } else if (Flag == "--transforms")
     O.Transforms = true;
   else if (Flag == "--restraints")
     O.Restraints = true;

@@ -73,10 +73,6 @@ struct AnalysisOptions {
   /// in the query cache, LRU-evicted beyond that (0 = unbounded).
   uint64_t SnapshotCacheCap = 0; ///< --snapshot-cache-cap N
 
-  // -- incremental re-analysis ------------------------------------------
-  std::string BaselineFile;     ///< --baseline PATH (analyze-only)
-  std::string SaveBaselineFile; ///< --save-baseline PATH (analyze-only)
-
   // -- global result store ----------------------------------------------
   /// Persist the cross-request pair-result store: load from PATH at
   /// startup (corruption -> warned cold start), save back on exit.
@@ -113,7 +109,7 @@ struct AnalysisOptions {
   unsigned ServeWorkers = 4;     ///< --workers N concurrent requests
   unsigned MaxQueue = 64;        ///< --max-queue N admission bound
   uint64_t DeadlineMs = 0;       ///< --deadline-ms N (0 = none)
-  /// Incremental sessions whose baselines stay retained (LRU beyond N).
+  /// Incremental sessions whose fingerprints stay retained (LRU beyond N).
   unsigned MaxSessions = 64;     ///< --max-sessions N
   /// Singleflight: concurrent sessionless requests with identical source
   /// and options share one solve and response document.

@@ -28,8 +28,8 @@
 /// Schema 1 (the PR 1-5 format) interleaved timings with structure and
 /// had no version marker; it is gone. Schema 3 extends schema 2 with the
 /// edit-incremental counters: four new "stats" entries (snapshotEvictions
-/// and the deltaPairs* classification) and, when a baseline was consulted,
-/// an optional "delta" object under "metrics". Schema 4 adds an optional
+/// and the deltaPairs* classification) and, for session requests, an
+/// optional "delta" object under "metrics". Schema 4 adds an optional
 /// "pipeline" array to "result" (requests opting in with --pipeline /
 /// "pipeline": true): per loop, the PS-DSWP stage partition, privatized
 /// arrays, and the kills that enabled the parallel stage. Like the rest

@@ -169,12 +169,13 @@ struct Server::Telemetry {
                         "Pair queries decided by the ZIV/GCD/bounds "
                         "pre-filter");
     EngDeltaReused = C("omega_engine_delta_pairs_reused_total",
-                       "Pairs materialized from a session baseline");
+                       "Session pairs materialized from the result store");
     EngDeltaResolved = C("omega_engine_delta_pairs_resolved_total",
                          "Pairs re-solved because their fingerprint "
                          "changed");
     EngDeltaNew = C("omega_engine_delta_pairs_new_total",
-                    "Pairs with no baseline counterpart");
+                    "Session pairs on an array the previous version "
+                    "lacked");
     StoreHits = C("omega_result_store_hits_total",
                   "Pair/kill-group solves materialized from the global "
                   "result store");
@@ -191,7 +192,7 @@ struct Server::Telemetry {
     ActiveWorkers = G("omega_serve_active_workers",
                       "Workers currently running a request");
     LiveSessions = G("omega_serve_live_sessions",
-                     "Incremental sessions with a retained baseline");
+                     "Incremental sessions with retained fingerprints");
     CacheEntries = G("omega_serve_cache_entries",
                      "Entries resident in the shared query cache");
     SnapshotEntries = G("omega_serve_snapshot_store_entries",
@@ -546,13 +547,28 @@ void Server::workerLoop(unsigned Index) {
       Queue.pop_front();
       Tele->QueueDepth->add(-1);
     }
+    // The slot's accounting lands before the request's response is
+    // delivered, so a client that has seen every response sees no busy
+    // worker. A coalesced follower leaves runOne with no response yet:
+    // its slot is released there, or by its leader's answer if that
+    // comes first.
+    auto Released = std::make_shared<std::atomic<bool>>(false);
+    auto Release = [this, Released] {
+      if (Released->exchange(true))
+        return;
+      Tele->ActiveWorkers->add(-1);
+      uint64_t Done =
+          Tele->Completed.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (!Cfg.MetricsFile.empty() && Done % 64 == 0)
+        writeMetricsFile();
+    };
+    R.Respond = [Release, Respond = std::move(R.Respond)](std::string Line) {
+      Release();
+      Respond(std::move(Line));
+    };
     Tele->ActiveWorkers->add(1);
     runOne(R, Index);
-    Tele->ActiveWorkers->add(-1);
-    uint64_t Done =
-        Tele->Completed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!Cfg.MetricsFile.empty() && Done % 64 == 0)
-      writeMetricsFile();
+    Release();
   }
 }
 
@@ -666,7 +682,7 @@ void Server::runOne(Request &R, unsigned Index) {
   // already in flight parks on it as a follower and frees this worker
   // slot immediately; the leader answers it (under the follower's own
   // id) when the shared solve completes. Session requests never
-  // coalesce -- their baseline side effects are per-request.
+  // coalesce -- their fingerprint side effects are per-request.
   bool Leader = false;
   std::string CKey;
   if (Cfg.Coalesce && R.Session.empty()) {
@@ -738,19 +754,18 @@ void Server::runOne(Request &R, unsigned Index) {
 
   engine::DependenceEngine &Engine = *Engines[Index];
   engine::AnalysisRequest EReq = R.Opts.toEngineRequest();
-  // Session requests run in delta mode: consult the session's retained
-  // baseline (if any) and record a fresh one for the next request. The
-  // shared_ptr keeps the prior baseline alive for the whole run even if
-  // a concurrent request on the same session replaces it.
-  std::shared_ptr<const engine::BaselineResult> Prior;
-  if (!R.Session.empty()) {
-    Prior = sessionBaseline(R.Session);
-    EReq.Baseline = Prior.get();
-    EReq.BuildBaseline = true;
-  }
-  // Every run -- stateless or session -- consults and feeds the global
-  // result store; the engine checks its session baseline first.
+  // Every run consults and feeds the global result store. Session
+  // requests also run delta accounting against the fingerprints of the
+  // session's previous version (an empty set on its first request); the
+  // shared_ptr keeps them alive for the whole run even if a concurrent
+  // request on the same session replaces them.
   EReq.Store = &Store;
+  std::shared_ptr<const engine::VersionFingerprints> Prior;
+  if (!R.Session.empty()) {
+    static const engine::VersionFingerprints FirstVersion;
+    Prior = sessionFingerprints(R.Session);
+    EReq.Previous = Prior ? Prior.get() : &FirstVersion;
+  }
   Engine.applyOptions(EReq);
 
   // Slow-request capture: attach a per-request tracer to the (otherwise
@@ -769,8 +784,8 @@ void Server::runOne(Request &R, unsigned Index) {
   Tele->EngAnalyses->add();
   if (Tracer)
     Engine.setTracer(nullptr);
-  if (!R.Session.empty() && Result.Baseline)
-    retainSession(R.Session, Result.Baseline);
+  if (!R.Session.empty() && Result.Fingerprints)
+    retainSession(R.Session, Result.Fingerprints);
   double WallMs = static_cast<double>(T.SolveUs) / 1000.0;
 
   auto SerializeStart = Clock::now();
@@ -890,28 +905,28 @@ void Server::logAccessLine(const std::string &Line) {
 // Incremental sessions
 //===----------------------------------------------------------------------===//
 
-std::shared_ptr<const engine::BaselineResult>
-Server::sessionBaseline(const std::string &Session) {
+std::shared_ptr<const engine::VersionFingerprints>
+Server::sessionFingerprints(const std::string &Session) {
   std::lock_guard<std::mutex> Lock(SessionsMu);
   auto It = Sessions.find(Session);
   if (It == Sessions.end())
     return nullptr;
   SessionLRU.splice(SessionLRU.begin(), SessionLRU, It->second.Recency);
-  return It->second.Baseline;
+  return It->second.Fingerprints;
 }
 
 void Server::retainSession(
     const std::string &Session,
-    std::shared_ptr<const engine::BaselineResult> Baseline) {
+    std::shared_ptr<const engine::VersionFingerprints> Fingerprints) {
   std::lock_guard<std::mutex> Lock(SessionsMu);
   auto It = Sessions.find(Session);
   if (It != Sessions.end()) {
-    It->second.Baseline = std::move(Baseline);
+    It->second.Fingerprints = std::move(Fingerprints);
     SessionLRU.splice(SessionLRU.begin(), SessionLRU, It->second.Recency);
     return;
   }
   SessionLRU.push_front(Session);
-  Sessions.emplace(Session, SessionEntry{std::move(Baseline),
+  Sessions.emplace(Session, SessionEntry{std::move(Fingerprints),
                                          SessionLRU.begin()});
   std::size_t Cap = Cfg.MaxSessions ? Cfg.MaxSessions : 1;
   while (Sessions.size() > Cap) {

@@ -31,25 +31,26 @@
 /// error, and a request whose deadline passed while queued is answered
 /// "deadline_exceeded" instead of being run.
 ///
-/// Edit-incremental sessions: a request may carry a "session" string.
-/// The server retains the last analysis baseline (engine/DeltaPlanner.h)
-/// per session, LRU-bounded at Config::MaxSessions, and hands it to the
-/// engine on the session's next request, so re-analyzing an edited
-/// program only solves the pairs the edit touched. Reuse is
-/// result-invisible -- the response's "result" section stays
-/// byte-identical to an uncached run -- and "metrics.delta" reports the
-/// pair classification.
+/// Reuse: one global engine::ResultStore (fingerprint-keyed solved
+/// outcomes, shared by all workers, persisted via Config::ResultCacheFile)
+/// lets ANY request -- stateless, session, or after a server restart --
+/// materialize pairs a structurally identical program solved before.
+/// Reuse is result-invisible: the response's "result" section stays
+/// byte-identical to an uncached run.
 ///
-/// Above the session tier sit two cross-request reuse tiers. A global
-/// engine::ResultStore (fingerprint-keyed solved outcomes, shared by all
-/// workers, persisted via Config::ResultCacheFile) lets ANY request --
-/// stateless, fresh session, or restarted server -- materialize pairs a
-/// structurally identical program solved before. And in-flight request
-/// coalescing (singleflight) merges concurrent sessionless requests with
-/// identical source and options: one leader solves, the followers' worker
-/// slots are freed immediately, and the leader answers every follower
-/// with the shared result document under each follower's own id. Both
-/// tiers are result-invisible by the same byte-identity gate.
+/// Edit-incremental sessions: a request may carry a "session" string.
+/// The server retains the session's last fingerprint set (pair
+/// fingerprints plus array names, engine::VersionFingerprints), LRU-
+/// bounded at Config::MaxSessions, and hands it to the engine on the
+/// session's next request. The outcomes themselves come from the result
+/// store; the fingerprints only let "metrics.delta" classify the pairs
+/// against the previous version (reused / resolved / new / removed).
+///
+/// In-flight request coalescing (singleflight) merges concurrent
+/// sessionless requests with identical source and options: one leader
+/// solves, the followers' worker slots are freed immediately, and the
+/// leader answers every follower with the shared result document under
+/// each follower's own id, under the same byte-identity gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,9 +99,10 @@ public:
     /// Warm-start file: loaded (if present and valid) at construction,
     /// saved at stop(). Empty disables persistence.
     std::string CacheFile;
-    /// Incremental-session retention bound: baselines for the most
-    /// recently used MaxSessions session ids stay resident; older ones
-    /// are dropped (their next request runs from scratch, never wrong).
+    /// Incremental-session retention bound: fingerprint sets for the
+    /// most recently used MaxSessions session ids stay resident; an
+    /// evicted session's next request counts as its first (its delta
+    /// starts over; reuse through the result store is unaffected).
     std::size_t MaxSessions = 64;
     /// Result-store persistence file: loaded (if present and valid) at
     /// construction -- corruption warns and cold-starts -- and saved
@@ -236,14 +238,15 @@ private:
   /// The health-op response body.
   std::string healthBody() const;
 
-  /// The retained baseline for \p Session (null if none), bumped to
+  /// The retained fingerprints for \p Session (null if none), bumped to
   /// most-recently-used. Thread-safe.
-  std::shared_ptr<const engine::BaselineResult>
-  sessionBaseline(const std::string &Session);
-  /// Retains \p Baseline as \p Session's latest, evicting the least
+  std::shared_ptr<const engine::VersionFingerprints>
+  sessionFingerprints(const std::string &Session);
+  /// Retains \p Fingerprints as \p Session's latest, evicting the least
   /// recently used session beyond Config::MaxSessions. Thread-safe.
   void retainSession(const std::string &Session,
-                     std::shared_ptr<const engine::BaselineResult> Baseline);
+                     std::shared_ptr<const engine::VersionFingerprints>
+                         Fingerprints);
 
   Config Cfg;
   std::unique_ptr<QueryCache> Cache;
@@ -256,7 +259,7 @@ private:
   bool Draining = false; ///< stop() begun: no admissions, workers drain
 
   struct SessionEntry {
-    std::shared_ptr<const engine::BaselineResult> Baseline;
+    std::shared_ptr<const engine::VersionFingerprints> Fingerprints;
     std::list<std::string>::iterator Recency; ///< position in SessionLRU
   };
   std::mutex SessionsMu;

@@ -22,8 +22,8 @@
 /// Two pairs with equal fingerprints present byte-identical constraint
 /// systems to the solver and traverse byte-identical decision paths, so
 /// the full dependence answer of one can be reused for the other. The
-/// delta planner (src/engine/DeltaPlanner.h) relies on exactly this
-/// property to carry results across program versions.
+/// result store (src/engine/ResultStore.h) relies on exactly this
+/// property to carry results across requests and program versions.
 ///
 /// Following the QueryCache convention, the canonical string itself is
 /// the match key -- hashes are never used as keys, only for display.

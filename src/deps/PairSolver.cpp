@@ -246,24 +246,13 @@ std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
         break;
       }
       ++Ctx.Stats.QuickTestDecided;
-      if (Ctx.Trace)
-        Ctx.Trace->decision(Class == QuickClass::ZIV
-                                ? "quick-test (ziv): independent"
-                                : Class == QuickClass::GCD
-                                      ? "quick-test (gcd): independent"
-                                      : "quick-test (bounds): independent");
       return std::nullopt;
     }
     if (Verdict == QuickVerdict::TriviallyDependent) {
       ++Ctx.Stats.QuickTestTrivialDep;
       ++Ctx.Stats.QuickTestDecided;
-      if (!Space.textuallyBefore(SI, DI)) {
-        if (Ctx.Trace)
-          Ctx.Trace->decision("quick-test (trivial): not textually ordered");
+      if (!Space.textuallyBefore(SI, DI))
         return std::nullopt;
-      }
-      if (Ctx.Trace)
-        Ctx.Trace->decision("quick-test (trivial): loop-independent dep");
       Dependence Dep;
       Dep.Src = &Src;
       Dep.Dst = &Dst;
@@ -276,6 +265,20 @@ std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
   }
 
   return solveOrdered(SI, DI, Src, Dst, Kind);
+}
+
+const char *PairSolver::tier() const {
+  switch (Verdict) {
+  case QuickVerdict::Independent:
+    return Class == QuickClass::ZIV   ? "quick test (ziv): independent"
+           : Class == QuickClass::GCD ? "quick test (gcd): independent"
+                                      : "quick test (bounds): independent";
+  case QuickVerdict::TriviallyDependent:
+    return "quick test (trivial): ordered by text";
+  case QuickVerdict::Unknown:
+    break;
+  }
+  return "solved";
 }
 
 std::optional<Dependence> PairSolver::solveOrdered(unsigned SI, unsigned DI,

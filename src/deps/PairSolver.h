@@ -58,6 +58,12 @@ public:
                                               const ir::Access &Dst,
                                               DepKind Kind);
 
+  /// The tier that decided this pair's queries so far: "quick test
+  /// (<class>): ..." when the quick tests answered them, "solved" when
+  /// the Omega test ran. The engine's explain log prints it once per
+  /// pair task.
+  const char *tier() const;
+
 private:
   /// What the one-time quick-test classification concluded about the pair.
   enum class QuickVerdict : uint8_t {

@@ -27,11 +27,12 @@
 #define OMEGA_ENGINE_DEPENDENCEENGINE_H
 
 #include "analysis/Driver.h"
-#include "engine/DeltaPlanner.h"
 #include "omega/QueryCache.h"
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
 
 namespace omega {
 
@@ -43,6 +44,36 @@ namespace engine {
 
 class ResultStore;
 class WorkerPool;
+
+/// What the next version's delta accounting needs to know about one
+/// program version: its pair-group fingerprints (deps/Fingerprint.h) and
+/// the arrays it accessed. Outcomes are not kept here; the ResultStore
+/// holds them.
+struct VersionFingerprints {
+  std::set<std::string> Pairs;
+  std::set<std::string> Arrays;
+};
+
+/// Per-run delta accounting against a previous version, reported through
+/// stats, metrics and responses. When Active, PairsReused + PairsResolved
+/// + PairsNew equals the number of pair groups exactly:
+///
+///   reused   -- the result store supplied the group's outcome;
+///   resolved -- solved, on an array the previous version accessed (an
+///               edited pair);
+///   new      -- solved, on an array new to the program;
+///   removed  -- previous fingerprints no current pair group matched.
+///
+/// The classification is metrics-only: it never changes results.
+struct DeltaMetrics {
+  bool Active = false;
+  uint64_t PairsReused = 0;
+  uint64_t PairsResolved = 0;
+  uint64_t PairsNew = 0;
+  uint64_t PairsRemoved = 0;
+  uint64_t KillGroupsReused = 0;
+  uint64_t KillGroupsTotal = 0;
+};
 
 /// What analyzeProgram-style runs should do and how to execute them.
 struct AnalysisRequest {
@@ -81,25 +112,20 @@ struct AnalysisRequest {
   /// Jobs value. Null disables tracing (the zero-overhead path). Not
   /// owned; must outlive the engine.
   obs::Tracer *Trace = nullptr;
-  /// Prior-version results keyed by canonical pair fingerprint: groups
-  /// whose fingerprints match are materialized from the baseline instead
-  /// of solved. Result-identical by construction (equal fingerprints
-  /// imply equal solves). Not owned; must outlive the analyze() call.
-  /// Ignored when Terminate is set (phase 4 mutates across group
-  /// boundaries, outside the per-group reuse model).
-  const BaselineResult *Baseline = nullptr;
-  /// Record a BaselineResult for this run into AnalysisResult::Baseline,
-  /// for a future incremental run (or --save-baseline). Also ignored
-  /// under Terminate.
-  bool BuildBaseline = false;
-  /// Global cross-request result store (engine/ResultStore.h): consulted
-  /// for every pair and kill group the baseline above did not already
-  /// cover, and fed every outcome this run solves. Independent of
-  /// Baseline/BuildBaseline -- stateless requests benefit too -- and
-  /// gated identically (sig-qualified exact fingerprint match, shape
-  /// re-validation, byte-identical materialization). Not owned; must be
-  /// thread-safe (it is) and outlive the analyze() call. Ignored when
-  /// Terminate is set, for the same reason Baseline is.
+  /// The previous version's fingerprints: non-null turns on delta
+  /// accounting (AnalysisResult::Delta) and the recording of this run's
+  /// own fingerprints (AnalysisResult::Fingerprints). A session's first
+  /// request passes an empty set. Not owned; must outlive the analyze()
+  /// call. Ignored when Terminate is set.
+  const VersionFingerprints *Previous = nullptr;
+  /// The result store (engine/ResultStore.h), the one reuse tier for
+  /// solved outcomes: each pair group and kill group is looked up once
+  /// and, when the store did not supply it, fed back after solving.
+  /// Reuse is gated by a sig-qualified exact fingerprint match plus shape
+  /// re-validation, so materialization is byte-identical to solving. Not
+  /// owned; must be thread-safe (it is) and outlive the analyze() call.
+  /// Ignored when Terminate is set: phase 4 mutates across group
+  /// boundaries, outside the per-group reuse model.
   ResultStore *Store = nullptr;
 
   static AnalysisRequest fromDriverOptions(const analysis::DriverOptions &O) {
@@ -121,13 +147,13 @@ struct AnalysisResult : analysis::AnalysisResult {
   QueryCacheStats Cache;
   /// Entries resident in the engine's cache after the run.
   std::uint64_t CacheEntries = 0;
-  /// Cross-version reuse accounting (Active only when a baseline was
-  /// consulted or recorded).
+  /// Delta accounting against AnalysisRequest::Previous (Active only
+  /// when it was set).
   DeltaMetrics Delta;
-  /// This run's recorded baseline (null unless BuildBaseline was set).
-  /// Shared so the serving stack can retain it per session while the
-  /// result itself is dropped.
-  std::shared_ptr<const BaselineResult> Baseline;
+  /// This version's fingerprints (null unless Previous was set). Shared
+  /// so the serving stack can retain them per session while the result
+  /// itself is dropped.
+  std::shared_ptr<const VersionFingerprints> Fingerprints;
 };
 
 class DependenceEngine {
@@ -144,7 +170,7 @@ public:
 
   /// Re-points the pipeline and tier toggles (QuickTests, Refine, Cover,
   /// Kill, Terminate, PairQuickTests, Incremental, ShareSnapshots), the
-  /// reuse fields (Baseline, BuildBaseline, Store), and the active worker
+  /// reuse fields (Previous, Store), and the active worker
   /// count (Jobs, clamped to the pool built at construction) at \p O's values
   /// without rebuilding the pool or cache. The serving stack uses this
   /// to honor per-request options on a long-lived engine; the remaining

@@ -6,23 +6,240 @@
 
 #include "engine/ResultStore.h"
 
+#include "deps/Dependence.h"
+
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
 
 using namespace omega;
 using namespace omega::engine;
-using namespace omega::engine::detail;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Wire format: little-endian, length-prefixed, one byte form per outcome
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a, the same checksum the query-cache file uses.
+uint64_t checksum64(const std::string &Bytes) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+void appendU32(std::string &Out, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+void appendU64(std::string &Out, uint64_t V) {
+  for (int I = 0; I != 8; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+void appendLenString(std::string &Out, const std::string &S) {
+  appendU64(Out, S.size());
+  Out += S;
+}
+
+/// Bounds-checked cursor over a serialized byte string. Every read sets
+/// Ok=false (and returns zeros) past the end instead of reading wild.
+struct Reader {
+  const std::string &Bytes;
+  std::size_t Pos = 0;
+  bool Ok = true;
+
+  explicit Reader(const std::string &B) : Bytes(B) {}
+
+  bool take(void *Dst, std::size_t N) {
+    if (!Ok || Pos + N > Bytes.size()) {
+      Ok = false;
+      return false;
+    }
+    std::memcpy(Dst, Bytes.data() + Pos, N);
+    Pos += N;
+    return true;
+  }
+  uint8_t u8() {
+    uint8_t C = 0;
+    take(&C, 1);
+    return C;
+  }
+  uint32_t u32() {
+    uint32_t V = 0;
+    for (int I = 0; I != 4; ++I)
+      V |= static_cast<uint32_t>(u8()) << (8 * I);
+    return Ok ? V : 0;
+  }
+  uint64_t u64() {
+    uint64_t V = 0;
+    for (int I = 0; I != 8; ++I)
+      V |= static_cast<uint64_t>(u8()) << (8 * I);
+    return Ok ? V : 0;
+  }
+  int64_t i64() { return static_cast<int64_t>(u64()); }
+  std::string lenString() {
+    uint64_t N = u64();
+    if (!Ok || Pos + N > Bytes.size()) {
+      Ok = false;
+      return {};
+    }
+    std::string S = Bytes.substr(Pos, N);
+    Pos += N;
+    return S;
+  }
+};
+
+void appendI64(std::string &Out, int64_t V) {
+  appendU64(Out, static_cast<uint64_t>(V));
+}
+
+void appendRange(std::string &Out, const PortableRange &R) {
+  Out.push_back(static_cast<char>((R.HasMin ? 1 : 0) | (R.HasMax ? 2 : 0) |
+                                  (R.Empty ? 4 : 0)));
+  appendI64(Out, R.Min);
+  appendI64(Out, R.Max);
+}
+
+PortableRange readRange(Reader &R) {
+  PortableRange Out;
+  uint8_t Bits = R.u8();
+  Out.HasMin = Bits & 1;
+  Out.HasMax = Bits & 2;
+  Out.Empty = Bits & 4;
+  Out.Min = R.i64();
+  Out.Max = R.i64();
+  return Out;
+}
+
+void appendSplit(std::string &Out, const PortableSplit &S) {
+  appendU32(Out, S.Level);
+  Out.push_back(static_cast<char>((S.Dead ? 1 : 0) | (S.Refined ? 2 : 0)));
+  Out.push_back(S.DeadReason);
+  appendU64(Out, S.Dir.size());
+  for (const PortableRange &R : S.Dir)
+    appendRange(Out, R);
+}
+
+PortableSplit readSplit(Reader &R) {
+  PortableSplit S;
+  S.Level = R.u32();
+  uint8_t Bits = R.u8();
+  S.Dead = Bits & 1;
+  S.Refined = Bits & 2;
+  S.DeadReason = static_cast<char>(R.u8());
+  uint64_t N = R.u64();
+  for (uint64_t I = 0; R.Ok && I != N; ++I)
+    S.Dir.push_back(readRange(R));
+  return S;
+}
+
+void appendDep(std::string &Out, const PortableDep &D) {
+  Out.push_back(static_cast<char>(D.Kind));
+  Out.push_back(static_cast<char>(D.SrcRole));
+  Out.push_back(static_cast<char>(D.DstRole));
+  Out.push_back(static_cast<char>((D.Present ? 1 : 0) | (D.Covers ? 2 : 0) |
+                                  (D.CoverLoopIndependent ? 4 : 0)));
+  appendU64(Out, D.Splits.size());
+  for (const PortableSplit &S : D.Splits)
+    appendSplit(Out, S);
+}
+
+PortableDep readDep(Reader &R) {
+  PortableDep D;
+  D.Kind = R.u8();
+  D.SrcRole = R.u8();
+  D.DstRole = R.u8();
+  uint8_t Bits = R.u8();
+  D.Present = Bits & 1;
+  D.Covers = Bits & 2;
+  D.CoverLoopIndependent = Bits & 4;
+  uint64_t N = R.u64();
+  for (uint64_t I = 0; R.Ok && I != N; ++I)
+    D.Splits.push_back(readSplit(R));
+  return D;
+}
+
+void appendPairOutcome(std::string &Out, const PairOutcome &P) {
+  Out.push_back(static_cast<char>(
+      (P.HasFlowRecord ? 1 : 0) | (P.RecHasFlow ? 2 : 0) |
+      (P.RecUsedGeneralTest ? 4 : 0) | (P.RecSplitVectors ? 8 : 0)));
+  appendU64(Out, P.Queries.size());
+  for (const PortableDep &D : P.Queries)
+    appendDep(Out, D);
+}
+
+PairOutcome readPairOutcome(Reader &R) {
+  PairOutcome P;
+  uint8_t Bits = R.u8();
+  P.HasFlowRecord = Bits & 1;
+  P.RecHasFlow = Bits & 2;
+  P.RecUsedGeneralTest = Bits & 4;
+  P.RecSplitVectors = Bits & 8;
+  uint64_t N = R.u64();
+  for (uint64_t I = 0; R.Ok && I != N; ++I)
+    P.Queries.push_back(readDep(R));
+  return P;
+}
+
+void appendKillGroup(std::string &Out, const KillGroupOutcome &G) {
+  appendU64(Out, G.Records.size());
+  for (const PortableKillRecord &KR : G.Records) {
+    appendU32(Out, KR.VictimPos);
+    appendU32(Out, KR.KillerPos);
+    Out.push_back(static_cast<char>((KR.UsedOmega ? 1 : 0) |
+                                    (KR.Killed ? 2 : 0)));
+  }
+  appendU64(Out, G.States.size());
+  for (const KillGroupOutcome::DepState &S : G.States) {
+    appendU32(Out, S.WritePos);
+    appendU64(Out, S.Splits.size());
+    for (const auto &[Dead, Reason] : S.Splits) {
+      Out.push_back(Dead ? 1 : 0);
+      Out.push_back(Reason);
+    }
+  }
+}
+
+KillGroupOutcome readKillGroup(Reader &R) {
+  KillGroupOutcome G;
+  uint64_t NR = R.u64();
+  for (uint64_t I = 0; R.Ok && I != NR; ++I) {
+    PortableKillRecord KR;
+    KR.VictimPos = R.u32();
+    KR.KillerPos = R.u32();
+    uint8_t Bits = R.u8();
+    KR.UsedOmega = Bits & 1;
+    KR.Killed = Bits & 2;
+    G.Records.push_back(KR);
+  }
+  uint64_t NS = R.u64();
+  for (uint64_t I = 0; R.Ok && I != NS; ++I) {
+    KillGroupOutcome::DepState S;
+    S.WritePos = R.u32();
+    uint64_t N = R.u64();
+    for (uint64_t J = 0; R.Ok && J != N; ++J) {
+      bool Dead = R.u8() != 0;
+      char Reason = static_cast<char>(R.u8());
+      S.Splits.emplace_back(Dead, Reason);
+    }
+    G.States.push_back(std::move(S));
+  }
+  return G;
+}
 
 const char StoreMagic[4] = {'O', 'M', 'R', 'S'};
 
 /// Qualifies a fingerprint with the entry kind and the pipeline
 /// signature: an outcome recorded under one pipeline is invisible under
-/// another, mirroring DeltaPlanner's sig gate.
+/// another.
 std::string makeKey(char Kind, const PipelineSig &Sig,
                     const std::string &Fingerprint) {
   std::string Key;
@@ -95,7 +312,7 @@ ResultStore::lookupPair(const std::string &Fingerprint,
   std::string Key = makeKey('P', Sig, Fingerprint);
   std::optional<std::string> Bytes = lookupBytes(Key);
   if (Bytes) {
-    ByteReader R(*Bytes);
+    Reader R(*Bytes);
     PairOutcome P = readPairOutcome(R);
     if (R.Ok && R.Pos == Bytes->size()) {
       HitCount.fetch_add(1, std::memory_order_relaxed);
@@ -120,7 +337,7 @@ ResultStore::lookupKillGroup(const std::string &Fingerprint,
   std::string Key = makeKey('K', Sig, Fingerprint);
   std::optional<std::string> Bytes = lookupBytes(Key);
   if (Bytes) {
-    ByteReader R(*Bytes);
+    Reader R(*Bytes);
     KillGroupOutcome G = readKillGroup(R);
     if (R.Ok && R.Pos == Bytes->size()) {
       HitCount.fetch_add(1, std::memory_order_relaxed);
@@ -215,7 +432,7 @@ bool ResultStore::deserialize(const std::string &Bytes, std::string *Err) {
       *Err = Why;
     return false;
   };
-  ByteReader R(Bytes);
+  Reader R(Bytes);
   char Magic[4];
   if (!R.take(Magic, 4) || std::memcmp(Magic, StoreMagic, 4) != 0)
     return Reject("not a result-store file (bad magic)");
@@ -266,4 +483,69 @@ bool ResultStore::loadFile(const std::string &Path, std::string *Err) {
     Bytes.append(Buf, N);
   std::fclose(F);
   return deserialize(Bytes, Err);
+}
+
+//===----------------------------------------------------------------------===//
+// Conversion
+//===----------------------------------------------------------------------===//
+
+PortableDep omega::engine::portableDep(const deps::Dependence *Dep,
+                                       uint8_t Kind, uint8_t SrcRole,
+                                       uint8_t DstRole) {
+  PortableDep P;
+  P.Kind = Kind;
+  P.SrcRole = SrcRole;
+  P.DstRole = DstRole;
+  if (!Dep)
+    return P;
+  P.Present = true;
+  P.Covers = Dep->Covers;
+  P.CoverLoopIndependent = Dep->CoverLoopIndependent;
+  for (const deps::DepSplit &S : Dep->Splits) {
+    PortableSplit PS;
+    PS.Level = S.Level;
+    PS.Dead = S.Dead;
+    PS.DeadReason = S.DeadReason;
+    PS.Refined = S.Refined;
+    for (const deps::DirectionElem &E : S.Dir) {
+      PortableRange R;
+      R.HasMin = E.Range.HasMin;
+      R.HasMax = E.Range.HasMax;
+      R.Min = E.Range.Min;
+      R.Max = E.Range.Max;
+      R.Empty = E.Range.Empty;
+      PS.Dir.push_back(R);
+    }
+    P.Splits.push_back(std::move(PS));
+  }
+  return P;
+}
+
+deps::Dependence omega::engine::materializeDep(const PortableDep &P,
+                                               const ir::Access *Src,
+                                               const ir::Access *Dst) {
+  deps::Dependence D;
+  D.Src = Src;
+  D.Dst = Dst;
+  D.Kind = static_cast<deps::DepKind>(P.Kind);
+  D.Covers = P.Covers;
+  D.CoverLoopIndependent = P.CoverLoopIndependent;
+  for (const PortableSplit &PS : P.Splits) {
+    deps::DepSplit S;
+    S.Level = PS.Level;
+    S.Dead = PS.Dead;
+    S.DeadReason = PS.DeadReason;
+    S.Refined = PS.Refined;
+    for (const PortableRange &R : PS.Dir) {
+      deps::DirectionElem E;
+      E.Range.HasMin = R.HasMin;
+      E.Range.HasMax = R.HasMax;
+      E.Range.Min = R.Min;
+      E.Range.Max = R.Max;
+      E.Range.Empty = R.Empty;
+      S.Dir.push_back(E);
+    }
+    D.Splits.push_back(std::move(S));
+  }
+  return D;
 }

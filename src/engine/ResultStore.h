@@ -6,21 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A global, content-addressed store of solved pair and kill-group
-/// outcomes, keyed by the canonical name-free fingerprints of
-/// src/deps/Fingerprint.h. Where a BaselineResult carries one program
-/// version's answers across edits of that program, the ResultStore
-/// generalizes it to "everything any request ever solved": every
-/// analysis — stateless requests and fresh sessions included — consults
-/// the store before solving a pair group, and a structurally-seen pair
-/// is materialized instead of solved.
+/// The one reuse tier for solved outcomes: a global, content-addressed
+/// store of pair and kill-group outcomes, keyed by the canonical
+/// name-free fingerprints of src/deps/Fingerprint.h. Every analysis --
+/// stateless requests, edit sessions and restarted servers alike --
+/// looks each pair group and kill group up here once before solving it,
+/// and a structurally-seen group is materialized instead of solved.
+/// Sessions keep no outcomes of their own, only the previous version's
+/// fingerprints for the delta metrics (engine/DependenceEngine.h).
 ///
-/// Soundness is gated exactly like the delta planner's reuse: a stored
-/// outcome is only consulted under the pipeline signature it was
-/// recorded with (the signature is part of the key), equal fingerprints
-/// imply byte-identical solver inputs, and the engine re-validates the
-/// outcome's shape against the current group before materializing. A
-/// hit can therefore never change results, only skip work.
+/// An outcome is "portable": access pointers are replaced by roles and
+/// positions, so an outcome recorded against one program (or program
+/// version) can be rebound to the accesses of another.
+///
+/// Soundness: a stored outcome is only consulted under the pipeline
+/// signature it was recorded with (the signature is part of the key),
+/// equal fingerprints imply byte-identical solver inputs, and the engine
+/// re-validates the outcome's shape against the current group before
+/// materializing. A hit can therefore never change results, only skip
+/// work.
 ///
 /// The store is sharded (per-shard mutex + LRU list) so N worker
 /// engines can consult it concurrently, LRU-bounded with eviction
@@ -29,18 +33,15 @@
 /// version skew rejects the whole file (warned cold start, never a
 /// wrong answer), and save -> load -> save is bit-identical.
 ///
-/// Entries hold the serialized wire form of the outcome (the same
-/// encoding BaselineResult persists with) rather than the structured
-/// form: lookups deserialize a private copy, so a returned outcome is
-/// immune to concurrent eviction, and persistence is a sorted dump of
-/// the map with no re-encoding.
+/// Entries hold the serialized wire form of the outcome rather than the
+/// structured form: lookups deserialize a private copy, so a returned
+/// outcome is immune to concurrent eviction, and persistence is a sorted
+/// dump of the map with no re-encoding.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_ENGINE_RESULTSTORE_H
 #define OMEGA_ENGINE_RESULTSTORE_H
-
-#include "engine/DeltaPlanner.h"
 
 #include <atomic>
 #include <cstdint>
@@ -49,9 +50,110 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace omega {
+namespace ir {
+struct Access;
+}
+namespace deps {
+struct Dependence;
+}
 namespace engine {
+
+//===----------------------------------------------------------------------===//
+// Portable outcome records
+//===----------------------------------------------------------------------===//
+
+/// Mirror of omega::IntRange with no dependence on the solver headers.
+struct PortableRange {
+  bool HasMin = false, HasMax = false;
+  int64_t Min = 0, Max = 0;
+  bool Empty = true;
+};
+
+/// Mirror of deps::DepSplit (Dir ranges flattened to PortableRange).
+struct PortableSplit {
+  uint32_t Level = 0;
+  std::vector<PortableRange> Dir;
+  bool Dead = false;
+  char DeadReason = 0;
+  bool Refined = false;
+};
+
+/// The answer to one pair query, with accesses replaced by roles:
+/// role 0 is the canonical-first instance of the pair fingerprint,
+/// role 1 the canonical-second (equal to 0 for self pairs).
+struct PortableDep {
+  uint8_t Kind = 0; ///< deps::DepKind as an integer
+  uint8_t SrcRole = 0;
+  uint8_t DstRole = 0;
+  bool Present = false; ///< false: the query produced no dependence
+  bool Covers = false;
+  bool CoverLoopIndependent = false;
+  std::vector<PortableSplit> Splits;
+};
+
+/// Everything phase 1 + phase 2 produce for one pair group: the answers
+/// to all of its queries (in ask order) and, when the group contains a
+/// flow task, the PairRecord flags phase 2 accumulated.
+struct PairOutcome {
+  std::vector<PortableDep> Queries;
+  bool HasFlowRecord = false;
+  bool RecHasFlow = false;
+  bool RecUsedGeneralTest = false;
+  bool RecSplitVectors = false;
+};
+
+/// One kill attempt, with writes identified by their position in the
+/// read's array write list (enumeration order).
+struct PortableKillRecord {
+  uint32_t VictimPos = 0;
+  uint32_t KillerPos = 0;
+  bool UsedOmega = false;
+  bool Killed = false;
+};
+
+/// Phase 3's effect on one kill group (all live flow deps into one read):
+/// the kill records in emission order plus the final per-split liveness of
+/// every member dependence, listed in the group's dep-index order.
+struct KillGroupOutcome {
+  struct DepState {
+    uint32_t WritePos = 0; ///< Src's position in the array's write list
+    /// (Dead, DeadReason) per split, post phase 3.
+    std::vector<std::pair<bool, char>> Splits;
+  };
+  std::vector<PortableKillRecord> Records;
+  std::vector<DepState> States;
+};
+
+/// The pipeline switches a stored outcome depends on: an outcome recorded
+/// under one signature is invisible under another. Solver-tier toggles
+/// (quick pair tests, incremental snapshots, snapshot sharing) are
+/// excluded: they are result-identical by construction.
+struct PipelineSig {
+  bool Refine = true;
+  bool Cover = true;
+  bool Kill = true;
+  bool QuickTests = true;
+};
+
+//===----------------------------------------------------------------------===//
+// Conversion helpers
+//===----------------------------------------------------------------------===//
+
+/// Portable form of one query answer; \p Dep may be null (absent result).
+PortableDep portableDep(const deps::Dependence *Dep, uint8_t Kind,
+                        uint8_t SrcRole, uint8_t DstRole);
+
+/// Rebinds a stored answer to current accesses. Only meaningful when
+/// \p P.Present; the caller resolves roles to accesses.
+deps::Dependence materializeDep(const PortableDep &P, const ir::Access *Src,
+                                const ir::Access *Dst);
+
+//===----------------------------------------------------------------------===//
+// The store
+//===----------------------------------------------------------------------===//
 
 /// Point-in-time counters for one store (monotonic over its lifetime).
 struct ResultStoreStats {

@@ -54,12 +54,13 @@ struct OmegaStats {
   uint64_t SnapshotCacheMisses = 0; // snapshot lookups that missed
   uint64_t SnapshotEvictions = 0;   // snapshots dropped by the LRU cap
 
-  // Edit-incremental re-analysis (engine/DeltaPlanner.h): how this run's
-  // access pairs were classified against the baseline. Reused pairs adopt
-  // recorded outcomes without solving; Resolved pairs re-ran because their
-  // fingerprint changed (or conservatively failed to match); New pairs
-  // touch an array the baseline never saw. The three always sum to the
-  // run's pair count when delta analysis is active.
+  // Edit-incremental delta accounting (engine/DependenceEngine.h,
+  // DeltaMetrics): how this run's access pairs were classified against
+  // the previous version of a session. Reused pairs were materialized
+  // from the result store without solving; Resolved pairs were solved on
+  // an array the previous version accessed; New pairs touch an array it
+  // never saw. The three always sum to the run's pair count when delta
+  // accounting is active.
   uint64_t DeltaPairsReused = 0;
   uint64_t DeltaPairsResolved = 0;
   uint64_t DeltaPairsNew = 0;

@@ -4,15 +4,15 @@
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
 // The incremental contract, end to end: canonical pair fingerprints are
-// name-free and semantics-sensitive; baselines round-trip through their
-// binary format and reject corruption; an analysis replayed against a
-// baseline renders byte-identical results while classifying every pair
-// group exactly once; the global result store answers structurally-seen
-// pairs across unrelated requests (LRU-bounded, sig-gated, thread-safe,
-// with checksummed persistence that rejects corruption whole); snapshot
-// stores evict LRU under a capacity bound; and the serving stack retains
-// per-session baselines, falls back to the global store after eviction,
-// and clamps per-request parallelism to the worker pool.
+// name-free and semantics-sensitive; the global result store answers
+// structurally-seen pairs across unrelated requests (LRU-bounded,
+// sig-gated, thread-safe, with checksummed persistence that rejects
+// corruption whole); an edited program analyzed against a store fed by
+// its previous version renders byte-identical results while the delta
+// accounting classifies every pair group exactly once; snapshot stores
+// evict LRU under a capacity bound; and the serving stack retains
+// per-session fingerprints, keeps its accounting exact when the store
+// evicts, and clamps per-request parallelism to the worker pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "api/Response.h"
 #include "api/Serve.h"
 #include "deps/Fingerprint.h"
-#include "engine/DeltaPlanner.h"
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
 #include "ir/Sema.h"
@@ -57,12 +56,13 @@ ir::AnalyzedProgram analyzeOk(const std::string &Source) {
   return AP;
 }
 
-/// The access-pair group count of \p AP, measured the way the planner
-/// counts: a delta run with no baseline to consult classifies every
-/// group "new".
+/// The access-pair group count of \p AP, measured the way the delta
+/// accounting counts: a first version with no store to consult
+/// classifies every group "new".
 uint64_t groupTotal(const ir::AnalyzedProgram &AP) {
+  engine::VersionFingerprints None;
   engine::AnalysisRequest Req;
-  Req.BuildBaseline = true;
+  Req.Previous = &None;
   engine::DependenceEngine Engine(Req);
   engine::AnalysisResult R = Engine.analyze(AP);
   EXPECT_TRUE(R.Delta.Active);
@@ -81,15 +81,29 @@ const ir::Access &find(const ir::AnalyzedProgram &AP, const std::string &Array,
   return AP.Accesses.front();
 }
 
-/// One BuildBaseline run over \p Source; returns the recorded baseline.
-std::shared_ptr<const engine::BaselineResult>
-recordBaseline(const std::string &Source) {
+/// Analyzes \p Source as a session's first version: feeds \p Store
+/// with its outcomes and returns its fingerprints.
+std::shared_ptr<const engine::VersionFingerprints>
+feedStore(engine::ResultStore &Store, const std::string &Source) {
+  engine::VersionFingerprints None;
   engine::AnalysisRequest Req;
-  Req.BuildBaseline = true;
+  Req.Store = &Store;
+  Req.Previous = &None;
   engine::DependenceEngine Engine(Req);
   engine::AnalysisResult R = Engine.analyze(analyzeOk(Source));
-  EXPECT_NE(R.Baseline, nullptr);
-  return R.Baseline;
+  EXPECT_NE(R.Fingerprints, nullptr);
+  return R.Fingerprints;
+}
+
+/// Analyzes \p AP against \p Store with \p Prev as the previous version.
+engine::AnalysisResult analyzeEdit(engine::ResultStore &Store,
+                                   const engine::VersionFingerprints &Prev,
+                                   const ir::AnalyzedProgram &AP,
+                                   engine::AnalysisRequest Req = {}) {
+  Req.Store = &Store;
+  Req.Previous = &Prev;
+  engine::DependenceEngine Engine(Req);
+  return Engine.analyze(AP);
 }
 
 } // namespace
@@ -99,29 +113,20 @@ recordBaseline(const std::string &Source) {
 //===----------------------------------------------------------------------===//
 
 // Renaming loop variables, arrays, and symbolic constants leaves every
-// pair and kill-group fingerprint unchanged: the two baselines carry
-// identical key sets.
+// pair and kill-group fingerprint unchanged: the two versions carry
+// identical pair fingerprint sets, and stores fed by each hold the same
+// keys and outcomes byte for byte.
 TEST(Fingerprint, NameFree) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  std::shared_ptr<const engine::BaselineResult> Renamed =
-      recordBaseline(readEdit("rename"));
+  engine::ResultStore BaseStore, RenamedStore;
+  std::shared_ptr<const engine::VersionFingerprints> Base =
+      feedStore(BaseStore, readEdit("base"));
+  std::shared_ptr<const engine::VersionFingerprints> Renamed =
+      feedStore(RenamedStore, readEdit("rename"));
   ASSERT_NE(Base, nullptr);
   ASSERT_NE(Renamed, nullptr);
-
-  std::vector<std::string> BaseKeys, RenamedKeys;
-  for (const auto &KV : Base->Pairs)
-    BaseKeys.push_back(KV.first);
-  for (const auto &KV : Renamed->Pairs)
-    RenamedKeys.push_back(KV.first);
-  EXPECT_EQ(BaseKeys, RenamedKeys);
-
-  std::vector<std::string> BaseKills, RenamedKills;
-  for (const auto &KV : Base->KillGroups)
-    BaseKills.push_back(KV.first);
-  for (const auto &KV : Renamed->KillGroups)
-    RenamedKills.push_back(KV.first);
-  EXPECT_EQ(BaseKills, RenamedKills);
+  EXPECT_FALSE(Base->Pairs.empty());
+  EXPECT_EQ(Base->Pairs, Renamed->Pairs);
+  EXPECT_EQ(BaseStore.serialize(), RenamedStore.serialize());
 }
 
 // An array rename alone also preserves fingerprints (names never enter
@@ -187,78 +192,6 @@ TEST(Fingerprint, OrientationCanonical) {
   deps::PairFingerprint Self = FB.pair(W, W);
   EXPECT_FALSE(Self.Swapped);
   EXPECT_NE(Self.Key, WR.Key);
-}
-
-//===----------------------------------------------------------------------===//
-// Baseline persistence
-//===----------------------------------------------------------------------===//
-
-TEST(Baseline, SerializeRoundTrip) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-  EXPECT_FALSE(Base->Pairs.empty());
-  EXPECT_FALSE(Base->Arrays.empty());
-
-  std::string Bytes = Base->serialize();
-  engine::BaselineResult Loaded;
-  std::string Err;
-  ASSERT_TRUE(engine::BaselineResult::deserialize(Bytes, &Loaded, &Err))
-      << Err;
-  EXPECT_TRUE(Loaded.Sig == Base->Sig);
-  EXPECT_EQ(Loaded.Arrays, Base->Arrays);
-  ASSERT_EQ(Loaded.Pairs.size(), Base->Pairs.size());
-  ASSERT_EQ(Loaded.KillGroups.size(), Base->KillGroups.size());
-  // Deterministic serialization: a round-trip reproduces the bytes.
-  EXPECT_EQ(Loaded.serialize(), Bytes);
-}
-
-TEST(Baseline, CorruptionRejected) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-  std::string Bytes = Base->serialize();
-
-  engine::BaselineResult Out;
-  std::string Err;
-  EXPECT_FALSE(engine::BaselineResult::deserialize(
-      Bytes.substr(0, Bytes.size() / 2), &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  std::string Flipped = Bytes;
-  Flipped.back() = static_cast<char>(Flipped.back() ^ 0x40);
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(Flipped, &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  std::string BadMagic = Bytes;
-  BadMagic.front() = static_cast<char>(BadMagic.front() ^ 0x01);
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(BadMagic, &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(std::string(), &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-}
-
-TEST(Baseline, SaveLoadFile) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-
-  std::string Path = ::testing::TempDir() + "delta_test.baseline";
-  std::string Err;
-  ASSERT_TRUE(Base->saveFile(Path, &Err)) << Err;
-
-  engine::BaselineResult Loaded;
-  ASSERT_TRUE(engine::BaselineResult::loadFile(Path, &Loaded, &Err)) << Err;
-  EXPECT_EQ(Loaded.serialize(), Base->serialize());
-  std::remove(Path.c_str());
-
-  EXPECT_FALSE(engine::BaselineResult::loadFile(
-      ::testing::TempDir() + "delta_test_missing.baseline", &Loaded, &Err));
-  EXPECT_FALSE(Err.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -523,30 +456,26 @@ TEST(ResultStore, ConcurrentHammer) {
 // Incremental analysis over the edit corpus
 //===----------------------------------------------------------------------===//
 
-// The central gate: for every entry of the edit corpus, replaying the
-// base program's baseline renders a byte-identical result, reuses at
-// least one pair, and classifies every pair group exactly once.
+// The central gate: for every entry of the edit corpus, analyzing the
+// edit against a store fed by the base program (with the base's
+// fingerprints as the previous version) renders a byte-identical result,
+// reuses at least one pair, and classifies every pair group exactly once.
 TEST(Delta, CorpusByteIdentityAndAccounting) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-
   const char *Edits[] = {"rename",   "bound",       "stmt-new",
                          "stmt-edit", "loop-del",   "interchange",
                          "rename-reorder"};
   for (const char *Name : Edits) {
     SCOPED_TRACE(Name);
+    engine::ResultStore Store;
+    std::shared_ptr<const engine::VersionFingerprints> Base =
+        feedStore(Store, readEdit("base"));
+    ASSERT_NE(Base, nullptr);
     ir::AnalyzedProgram AP = analyzeOk(readEdit(Name));
 
     engine::DependenceEngine Scratch;
     std::string Expected = api::renderResult(Scratch.analyze(AP));
 
-    engine::AnalysisRequest Req;
-    Req.Baseline = Base.get();
-    Req.BuildBaseline = true;
-    engine::DependenceEngine Engine(Req);
-    engine::AnalysisResult R = Engine.analyze(AP);
-
+    engine::AnalysisResult R = analyzeEdit(Store, *Base, AP);
     EXPECT_EQ(api::renderResult(R), Expected);
     ASSERT_TRUE(R.Delta.Active);
     EXPECT_GT(R.Delta.PairsReused, 0u);
@@ -556,23 +485,24 @@ TEST(Delta, CorpusByteIdentityAndAccounting) {
     EXPECT_EQ(R.Stats.DeltaPairsReused, R.Delta.PairsReused);
     EXPECT_EQ(R.Stats.DeltaPairsResolved, R.Delta.PairsResolved);
     EXPECT_EQ(R.Stats.DeltaPairsNew, R.Delta.PairsNew);
+    // Reused pairs and kill groups are exactly the store's hits.
+    EXPECT_EQ(R.Stats.ResultStoreHits,
+              R.Delta.PairsReused + R.Delta.KillGroupsReused);
   }
 }
 
 // Every class has a witness. A structurally novel pair on an unknown
 // array is "new" (the corpus itself never produces one: its added pairs
 // all structurally match existing fingerprints); an edited pair on a
-// known array is "resolved"; its orphaned baseline key is "removed".
+// known array is "resolved"; its orphaned previous key is "removed".
 TEST(Delta, ClassificationWitnesses) {
   const std::string Base = "symbolic n;\n"
                            "for i := 1 to n do\n"
                            "  a(i) := a(i-1) + 1;\n"
                            "endfor\n";
-  std::shared_ptr<const engine::BaselineResult> BP = recordBaseline(Base);
-  ASSERT_NE(BP, nullptr);
 
   // A second nest on a new array, transposed 2-D subscripts: nothing in
-  // the baseline matches structurally, and "z" is not a known array.
+  // the store matches structurally, and "z" is not a known array.
   const std::string AddsNewArray = Base +
                                    "for i := 1 to n do\n"
                                    "  for j := 1 to n do\n"
@@ -595,17 +525,16 @@ TEST(Delta, ClassificationWitnesses) {
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Tag);
+    engine::ResultStore Store;
+    std::shared_ptr<const engine::VersionFingerprints> Prev =
+        feedStore(Store, Base);
+    ASSERT_NE(Prev, nullptr);
     ir::AnalyzedProgram AP = analyzeOk(C.Source);
 
     engine::DependenceEngine Scratch;
     std::string Expected = api::renderResult(Scratch.analyze(AP));
 
-    engine::AnalysisRequest Req;
-    Req.Baseline = BP.get();
-    Req.BuildBaseline = true;
-    engine::DependenceEngine Engine(Req);
-    engine::AnalysisResult R = Engine.analyze(AP);
-
+    engine::AnalysisResult R = analyzeEdit(Store, *Prev, AP);
     EXPECT_EQ(api::renderResult(R), Expected);
     ASSERT_TRUE(R.Delta.Active);
     EXPECT_GT(R.Delta.PairsReused, 0u);
@@ -620,16 +549,13 @@ TEST(Delta, ClassificationWitnesses) {
 // An identical replay reuses every pair and every kill group.
 TEST(Delta, IdenticalReplayReusesEverything) {
   std::string Source = readEdit("base");
-  std::shared_ptr<const engine::BaselineResult> Base = recordBaseline(Source);
-  ASSERT_NE(Base, nullptr);
+  engine::ResultStore Store;
+  std::shared_ptr<const engine::VersionFingerprints> Prev =
+      feedStore(Store, Source);
+  ASSERT_NE(Prev, nullptr);
   ir::AnalyzedProgram AP = analyzeOk(Source);
 
-  engine::AnalysisRequest Req;
-  Req.Baseline = Base.get();
-  Req.BuildBaseline = true;
-  engine::DependenceEngine Engine(Req);
-  engine::AnalysisResult R = Engine.analyze(AP);
-
+  engine::AnalysisResult R = analyzeEdit(Store, *Prev, AP);
   ASSERT_TRUE(R.Delta.Active);
   EXPECT_EQ(R.Delta.PairsResolved, 0u);
   EXPECT_EQ(R.Delta.PairsNew, 0u);
@@ -637,11 +563,17 @@ TEST(Delta, IdenticalReplayReusesEverything) {
   EXPECT_EQ(R.Delta.PairsReused, groupTotal(AP));
   EXPECT_GT(R.Delta.KillGroupsTotal, 0u);
   EXPECT_EQ(R.Delta.KillGroupsReused, R.Delta.KillGroupsTotal);
+  // The store supplied everything, so nothing was stored back.
+  EXPECT_EQ(R.Stats.ResultStoreMisses, 0u);
+  ASSERT_NE(R.Fingerprints, nullptr);
+  EXPECT_EQ(R.Fingerprints->Pairs, Prev->Pairs);
+  EXPECT_EQ(R.Fingerprints->Arrays, Prev->Arrays);
 }
 
-// The rename gate, both tiers: plain renames and renames that reorder
-// first mentions are 100% reused per-session (full baseline reuse) AND
-// via the global result store with no baseline or session at all.
+// The rename gate: plain renames and renames that reorder first mentions
+// are 100% reused from a store fed by the base program -- with the
+// base's fingerprints as the previous version (a session edit) and with
+// no previous version at all (a session-less request).
 TEST(Delta, RenameEditsFullyReusedViaStore) {
   std::string BaseSrc = readEdit("base");
   for (const char *Name : {"rename", "rename-reorder"}) {
@@ -649,30 +581,28 @@ TEST(Delta, RenameEditsFullyReusedViaStore) {
     ir::AnalyzedProgram AP = analyzeOk(readEdit(Name));
     uint64_t Pairs = groupTotal(AP);
 
-    // Per-session: replaying base's baseline reuses every pair and
-    // every kill group.
-    std::shared_ptr<const engine::BaselineResult> Base =
-        recordBaseline(BaseSrc);
+    // Session edit: every pair and every kill group is reused.
+    engine::ResultStore SessionStore;
+    std::shared_ptr<const engine::VersionFingerprints> Base =
+        feedStore(SessionStore, BaseSrc);
     ASSERT_NE(Base, nullptr);
-    engine::AnalysisRequest SReq;
-    SReq.Baseline = Base.get();
-    SReq.BuildBaseline = true;
-    engine::DependenceEngine Session(SReq);
-    engine::AnalysisResult SR = Session.analyze(AP);
+    engine::AnalysisResult SR = analyzeEdit(SessionStore, *Base, AP);
     ASSERT_TRUE(SR.Delta.Active);
     EXPECT_EQ(SR.Delta.PairsResolved, 0u);
     EXPECT_EQ(SR.Delta.PairsNew, 0u);
+    EXPECT_EQ(SR.Delta.PairsRemoved, 0u);
     EXPECT_EQ(SR.Delta.PairsReused, Pairs);
     EXPECT_GT(SR.Delta.KillGroupsTotal, 0u);
     EXPECT_EQ(SR.Delta.KillGroupsReused, SR.Delta.KillGroupsTotal);
 
-    // Global store: feed it with a baseline-less, session-less run of
-    // the base program ...
+    // Session-less: feed a store with a plain run of the base program ...
     engine::ResultStore Store;
     engine::AnalysisRequest Feed;
     Feed.Store = &Store;
     engine::DependenceEngine Feeder(Feed);
     engine::AnalysisResult FR = Feeder.analyze(analyzeOk(BaseSrc));
+    EXPECT_FALSE(FR.Delta.Active);
+    EXPECT_EQ(FR.Fingerprints, nullptr);
     EXPECT_EQ(FR.Stats.ResultStoreHits, 0u);
     EXPECT_GT(FR.Stats.ResultStoreMisses, 0u);
     // Structurally identical groups share one entry, so the population
@@ -690,7 +620,9 @@ TEST(Delta, RenameEditsFullyReusedViaStore) {
     EXPECT_EQ(UR.Stats.ResultStoreHits, Pairs + SR.Delta.KillGroupsTotal);
 
     engine::DependenceEngine Scratch;
-    EXPECT_EQ(api::renderResult(UR), api::renderResult(Scratch.analyze(AP)));
+    std::string Expected = api::renderResult(Scratch.analyze(AP));
+    EXPECT_EQ(api::renderResult(UR), Expected);
+    EXPECT_EQ(api::renderResult(SR), Expected);
   }
 }
 
@@ -716,31 +648,33 @@ TEST(Delta, StorePartialReuseOnInterchange) {
   EXPECT_EQ(api::renderResult(UR), api::renderResult(Scratch.analyze(AP)));
 }
 
-// A baseline recorded under a different pipeline signature is unusable;
-// Terminate opts out of the delta model entirely.
+// Outcomes stored under one pipeline signature are invisible under
+// another, so nothing is reused (the delta accounting stays exact);
+// Terminate opts out of reuse and delta accounting entirely.
 TEST(Delta, SignatureMismatchAndTerminateDisable) {
   std::string Source = readEdit("base");
-  std::shared_ptr<const engine::BaselineResult> Base = recordBaseline(Source);
-  ASSERT_NE(Base, nullptr);
+  engine::ResultStore Store;
+  std::shared_ptr<const engine::VersionFingerprints> Prev =
+      feedStore(Store, Source);
+  ASSERT_NE(Prev, nullptr);
   ir::AnalyzedProgram AP = analyzeOk(Source);
 
   engine::AnalysisRequest Req;
-  Req.Baseline = Base.get();
-  Req.BuildBaseline = true;
-  Req.Refine = false; // signature mismatch: everything classifies new
-  engine::DependenceEngine Mismatch(Req);
-  engine::AnalysisResult R = Mismatch.analyze(AP);
+  Req.Refine = false; // signature mismatch: nothing is reused
+  engine::AnalysisResult R = analyzeEdit(Store, *Prev, AP, Req);
   ASSERT_TRUE(R.Delta.Active);
   EXPECT_EQ(R.Delta.PairsReused, 0u);
+  EXPECT_EQ(R.Delta.KillGroupsReused, 0u);
+  EXPECT_EQ(R.Delta.PairsResolved, groupTotal(AP));
+  EXPECT_EQ(R.Stats.ResultStoreHits, 0u);
 
   engine::AnalysisRequest TReq;
-  TReq.Baseline = Base.get();
-  TReq.BuildBaseline = true;
   TReq.Terminate = true;
-  engine::DependenceEngine Terminating(TReq);
-  engine::AnalysisResult TR = Terminating.analyze(AP);
+  engine::AnalysisResult TR = analyzeEdit(Store, *Prev, AP, TReq);
   EXPECT_FALSE(TR.Delta.Active);
-  EXPECT_EQ(TR.Baseline, nullptr);
+  EXPECT_EQ(TR.Fingerprints, nullptr);
+  EXPECT_EQ(TR.Stats.ResultStoreHits, 0u);
+  EXPECT_EQ(TR.Stats.ResultStoreMisses, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -904,11 +838,12 @@ std::string resultBytes(const std::string &Response) {
 
 } // namespace
 
-// A session's second request reuses the baseline its first request
-// recorded, with the result still byte-identical to a one-shot run; the
-// session map holds MaxSessions baselines and evicts the least recently
-// used one, which then falls back to the global result store instead of
-// starting over; sessionless requests consult the store too.
+// A session's second request reuses what its first request stored, with
+// the result still byte-identical to a one-shot run; the session map
+// holds MaxSessions fingerprint sets and evicts the least recently used
+// one, whose next request then counts as a first version -- but every
+// pair of the edit is still in the result store, so it is all reused;
+// sessionless requests consult the store too.
 TEST(ServeSessions, RetainReuseAndEvict) {
   api::Server::Config Cfg;
   Cfg.Workers = 1;
@@ -923,31 +858,40 @@ TEST(ServeSessions, RetainReuseAndEvict) {
   std::string Expected =
       api::renderResult(Reference.analyze(analyzeOk(Edit)));
 
-  // First request of a session: nothing to reuse, everything new.
+  // First request of a session on a cold store: everything new.
   std::string R1 = ask(Server, sessionRequest(1, "s1", Base));
   EXPECT_EQ(deltaField(R1, "pairsReused"), 0);
+  EXPECT_EQ(deltaField(R1, "pairsResolved"), 0);
   int64_t BaseGroups = deltaField(R1, "pairsNew");
   EXPECT_GT(BaseGroups, 0);
+  EXPECT_EQ(Server.metricsSnapshot().gauge("omega_serve_live_sessions")->Value,
+            1);
 
-  // Second request: the edit reuses the retained baseline.
+  // Second request: the edit reuses what the base stored, and the
+  // retained fingerprints classify the re-solved pair as resolved.
   std::string R2 = ask(Server, sessionRequest(2, "s1", Edit));
   EXPECT_GT(deltaField(R2, "pairsReused"), 0);
+  EXPECT_GT(deltaField(R2, "pairsResolved"), 0);
+  EXPECT_EQ(deltaField(R2, "pairsNew"), 0);
   EXPECT_EQ(resultBytes(R2), resultBytes(
                                  "{\"result\": " + Expected + "}"));
 
   // Two more sessions overflow MaxSessions = 2 and evict s1 (least
-  // recently used). s1's baseline is gone, but every pair of the edit
-  // was already solved under this server, so the replay materializes
-  // entirely from the global result store: all-reused, nothing
+  // recently used). s1's fingerprints are gone, but every pair of the
+  // edit was already solved under this server, so the replay
+  // materializes entirely from the result store: all-reused, nothing
   // re-solved, and still byte-identical.
   ask(Server, sessionRequest(3, "s2", Base));
   ask(Server, sessionRequest(4, "s3", Base));
+  EXPECT_EQ(Server.metricsSnapshot().gauge("omega_serve_live_sessions")->Value,
+            2);
   std::string R5 = ask(Server, sessionRequest(5, "s1", Edit));
   EXPECT_EQ(deltaField(R5, "pairsReused"),
             deltaField(R2, "pairsReused") + deltaField(R2, "pairsResolved") +
                 deltaField(R2, "pairsNew"));
   EXPECT_EQ(deltaField(R5, "pairsResolved"), 0);
   EXPECT_EQ(deltaField(R5, "pairsNew"), 0);
+  EXPECT_EQ(deltaField(R5, "pairsRemoved"), 0);
   EXPECT_GT(statsField(R5, "resultStoreHits"), 0);
   EXPECT_EQ(resultBytes(R5), resultBytes(R2));
 
@@ -959,6 +903,42 @@ TEST(ServeSessions, RetainReuseAndEvict) {
   EXPECT_GT(statsField(R6, "resultStoreHits"), 0);
   EXPECT_EQ(statsField(R6, "resultStoreMisses"), 0);
   EXPECT_EQ(resultBytes(R6), resultBytes(R2));
+}
+
+// A store bounded at one entry per shard evicts nearly every outcome, so
+// a session edit re-solves most pairs. Responses stay byte-identical to
+// one-shot runs and the delta accounting stays exact: every pair group
+// is reused, resolved or new exactly once.
+TEST(ServeSessions, ReuseAfterStoreEviction) {
+  api::Server::Config Cfg;
+  Cfg.Workers = 1;
+  Cfg.Defaults.Jobs = 1;
+  Cfg.ResultStoreCap = 1;
+  api::Server Server(Cfg);
+
+  uint64_t Id = 1;
+  int64_t Evictions = 0;
+  for (const char *Name : {"base", "rename", "bound", "stmt-new", "stmt-edit",
+                           "loop-del", "interchange", "rename-reorder"}) {
+    SCOPED_TRACE(Name);
+    std::string Source = readEdit(Name);
+    ir::AnalyzedProgram AP = analyzeOk(Source);
+    engine::DependenceEngine Reference;
+    std::string Expected = api::renderResult(Reference.analyze(AP));
+
+    std::string R = ask(Server, sessionRequest(Id++, "bounded", Source));
+    EXPECT_EQ(resultBytes(R), resultBytes("{\"result\": " + Expected + "}"));
+    EXPECT_EQ(static_cast<uint64_t>(deltaField(R, "pairsReused") +
+                                     deltaField(R, "pairsResolved") +
+                                     deltaField(R, "pairsNew")),
+              groupTotal(AP));
+    EXPECT_EQ(deltaField(R, "pairsReused") +
+                  deltaField(R, "killGroupsReused"),
+              statsField(R, "resultStoreHits"));
+    Evictions += statsField(R, "resultStoreEvictions");
+  }
+  EXPECT_GT(Evictions, 0);
+  EXPECT_LE(Server.resultStore().size(), 16u);
 }
 
 // Per-request jobs are honored but clamped to the worker's pool; the

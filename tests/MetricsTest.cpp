@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
@@ -32,7 +31,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <thread>
 
 using namespace omega;
 
@@ -330,15 +328,8 @@ TEST(ServeTelemetry, AccountingInvariantsHold) {
   // The warm re-analysis must actually have hit.
   EXPECT_GT(CS.SatHits + CS.GistHits, 0u);
 
-  // Quiesced gauges. The response callback fires before the worker
-  // returns to its loop and decrements active_workers, so give the
-  // worker a moment to get there.
-  for (int Spin = 0;
-       Spin != 200 && S.gauge("omega_serve_active_workers")->Value != 0;
-       ++Spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    S = Server.metricsSnapshot();
-  }
+  // Quiesced gauges: a worker's slot is released before its response is
+  // delivered, so once every response has arrived no worker is busy.
   EXPECT_EQ(S.gauge("omega_serve_queue_depth")->Value, 0);
   EXPECT_EQ(S.gauge("omega_serve_active_workers")->Value, 0);
   EXPECT_EQ(S.gauge("omega_serve_cache_entries")->Value,

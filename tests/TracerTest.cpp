@@ -12,6 +12,7 @@
 
 #include "calc/Calc.h"
 #include "engine/DependenceEngine.h"
+#include "engine/ResultStore.h"
 #include "kernels/Kernels.h"
 #include "obs/Trace.h"
 #include "omega/Gist.h"
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -176,6 +178,86 @@ TEST(Tracer, MergedOrderIndependentOfJobs) {
     EXPECT_EQ(structuralSignature(Serial.mergedEvents()),
               structuralSignature(Parallel.mergedEvents()))
         << "kernel " << K.Name;
+    ++Compared;
+  }
+  EXPECT_GT(Compared, 0u);
+}
+
+namespace {
+
+/// The tier lines of an explain log: for each pair task, its header and
+/// its "tier:" lines joined into one string.
+struct TierLines {
+  std::vector<std::string> PerPair;
+  unsigned Stray = 0; ///< tier lines outside pair tasks
+};
+
+TierLines tierLines(const std::string &Log) {
+  TierLines Out;
+  std::istringstream In(Log);
+  std::string Line;
+  bool InPair = false;
+  while (std::getline(In, Line)) {
+    if (Line.compare(0, 2, "  ") != 0) { // a task header
+      InPair = Line.compare(0, 5, "pair ") == 0;
+      if (InPair)
+        Out.PerPair.push_back(Line);
+      continue;
+    }
+    if (Line.compare(0, 8, "  tier: ") != 0)
+      continue;
+    if (InPair)
+      Out.PerPair.back() += "\n" + Line;
+    else
+      ++Out.Stray;
+  }
+  return Out;
+}
+
+} // namespace
+
+// Every pair task of --explain names exactly one tier that decided it --
+// result store, quick test or solved -- and the tier lines are the same
+// for every worker count, with the store cold and warm.
+TEST(Tracer, ExplainNamesOneTierPerPairTask) {
+  unsigned Compared = 0;
+  for (const kernels::Kernel &K : kernels::corpus()) {
+    SCOPED_TRACE(K.Name);
+    ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
+    if (!AP.ok())
+      continue;
+    std::vector<std::string> Cold[2], Warm[2];
+    for (unsigned Leg = 0; Leg != 2; ++Leg) {
+      engine::ResultStore Store;
+      for (std::vector<std::string> *Into : {&Cold[Leg], &Warm[Leg]}) {
+        obs::Tracer T;
+        engine::VersionFingerprints None;
+        engine::AnalysisRequest Req;
+        Req.Jobs = Leg == 0 ? 1 : 4;
+        Req.Trace = &T;
+        Req.Store = &Store;
+        Req.Previous = &None; // delta accounting counts the pair groups
+        engine::DependenceEngine Engine(Req);
+        engine::AnalysisResult R = Engine.analyze(AP);
+        TierLines Tiers = tierLines(T.explainLog());
+        EXPECT_EQ(Tiers.Stray, 0u);
+        EXPECT_EQ(Tiers.PerPair.size(), R.Delta.PairsReused +
+                                            R.Delta.PairsResolved +
+                                            R.Delta.PairsNew);
+        for (const std::string &P : Tiers.PerPair) {
+          std::size_t Lines = 0;
+          for (std::size_t At = P.find("\n  tier: "); At != std::string::npos;
+               At = P.find("\n  tier: ", At + 1))
+            ++Lines;
+          EXPECT_EQ(Lines, 1u) << P;
+          if (Into == &Warm[Leg])
+            EXPECT_NE(P.find("tier: result store"), std::string::npos) << P;
+        }
+        *Into = Tiers.PerPair;
+      }
+    }
+    EXPECT_EQ(Cold[0], Cold[1]);
+    EXPECT_EQ(Warm[0], Warm[1]);
     ++Compared;
   }
   EXPECT_GT(Compared, 0u);
