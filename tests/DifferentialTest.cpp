@@ -34,6 +34,10 @@ struct DiffCase {
   std::map<std::string, int64_t> Symbols;
 };
 
+// ctest names each case by this print; gtest's fallback would dump the
+// struct's bytes, pointers included, and so rename the cases every run.
+void PrintTo(const DiffCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class DifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 } // namespace

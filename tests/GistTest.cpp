@@ -270,6 +270,14 @@ struct GistPropertyParam {
   unsigned Seed;
 };
 
+void PrintTo(const GistPropertyParam &Param, std::ostream *OS) {
+  ParamBytes Bytes(sizeof(Param));
+  Bytes.put(offsetof(GistPropertyParam, Cfg), Param.Cfg);
+  Bytes.put(offsetof(GistPropertyParam, Trials), Param.Trials);
+  Bytes.put(offsetof(GistPropertyParam, Seed), Param.Seed);
+  Bytes.print(OS);
+}
+
 class GistProperty : public ::testing::TestWithParam<GistPropertyParam> {};
 
 } // namespace

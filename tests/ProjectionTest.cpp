@@ -201,6 +201,15 @@ struct ProjPropertyParam {
   unsigned Seed;
 };
 
+void PrintTo(const ProjPropertyParam &Param, std::ostream *OS) {
+  ParamBytes Bytes(sizeof(Param));
+  Bytes.put(offsetof(ProjPropertyParam, Cfg), Param.Cfg);
+  Bytes.put(offsetof(ProjPropertyParam, KeepCount), Param.KeepCount);
+  Bytes.put(offsetof(ProjPropertyParam, Trials), Param.Trials);
+  Bytes.put(offsetof(ProjPropertyParam, Seed), Param.Seed);
+  Bytes.print(OS);
+}
+
 class ProjectionProperty : public ::testing::TestWithParam<ProjPropertyParam> {
 };
 

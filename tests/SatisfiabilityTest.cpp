@@ -197,6 +197,14 @@ struct SatPropertyParam {
   unsigned Seed;
 };
 
+void PrintTo(const SatPropertyParam &Param, std::ostream *OS) {
+  ParamBytes Bytes(sizeof(Param));
+  Bytes.put(offsetof(SatPropertyParam, Cfg), Param.Cfg);
+  Bytes.put(offsetof(SatPropertyParam, Trials), Param.Trials);
+  Bytes.put(offsetof(SatPropertyParam, Seed), Param.Seed);
+  Bytes.print(OS);
+}
+
 class SatisfiabilityProperty
     : public ::testing::TestWithParam<SatPropertyParam> {};
 
