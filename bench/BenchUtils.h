@@ -160,11 +160,6 @@ inline void writeStatsJson(JsonWriter &W, const char *K,
   W.field("sat_cache_misses", S.SatCacheMisses);
   W.field("gist_cache_hits", S.GistCacheHits);
   W.field("gist_cache_misses", S.GistCacheMisses);
-  W.field("snapshot_builds", S.SnapshotBuilds);
-  W.field("snapshot_reuses", S.SnapshotReuses);
-  W.field("snapshot_fallbacks", S.SnapshotFallbacks);
-  W.field("snapshot_cache_hits", S.SnapshotCacheHits);
-  W.field("snapshot_cache_misses", S.SnapshotCacheMisses);
   W.field("quicktest_ziv", S.QuickTestZIV);
   W.field("quicktest_gcd", S.QuickTestGCD);
   W.field("quicktest_bounds", S.QuickTestBounds);

@@ -22,8 +22,6 @@ engine::AnalysisRequest AnalysisOptions::toEngineRequest() const {
   R.QuickTests = QuickTests;
   R.Terminate = Terminate;
   R.PairQuickTests = PairQuickTests;
-  R.Incremental = Incremental;
-  R.ShareSnapshots = ShareSnapshots;
   R.Jobs = Jobs;
   R.UseQueryCache = UseQueryCache;
   return R;
@@ -40,7 +38,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "shard each analysis over N worker threads (0 = hardware); "
        "results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
-       "machine-readable schema-4 output instead of tables"},
+       "machine-readable schema-5 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
        "record a Chrome trace_event JSON of the run"},
       {"--profile", "profile", AS, false, nullptr,
@@ -66,18 +64,11 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "enable the terminating-write extension"},
       {"--no-quicktests", "quicktests", ACS, false, nullptr,
        "disable the ZIV/GCD/bounds pair pre-filter (ablation)"},
-      {"--no-incremental", "incremental", ACS, false, nullptr,
-       "disable per-pair elimination snapshots (ablation)"},
-      {"--no-snapshot-sharing", "snapshotSharing", AS, false, nullptr,
-       "do not reuse elimination snapshots through the query cache"},
       {"--no-cache", nullptr, AS, false, nullptr,
        "disable the sat/gist query cache entirely"},
       {"--cache-file", nullptr, AS, true, "PATH",
        "warm-start: load the persisted query cache from PATH if it "
        "exists, save it back on exit"},
-      {"--snapshot-cache-cap", nullptr, AS, true, "N",
-       "bound the cache's elimination-snapshot store to N entries, "
-       "evicting least-recently-used beyond that (0 = unbounded)"},
       {"--result-cache-file", nullptr, AS, true, "PATH",
        "warm-start the global pair-result store from PATH if it exists "
        "and save it back on exit (corrupt or version-skewed files are "
@@ -195,19 +186,11 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     O.Terminate = true;
   else if (Flag == "--no-quicktests")
     O.PairQuickTests = false;
-  else if (Flag == "--no-incremental")
-    O.Incremental = false;
-  else if (Flag == "--no-snapshot-sharing")
-    O.ShareSnapshots = false;
   else if (Flag == "--no-cache")
     O.UseQueryCache = false;
   else if (Flag == "--cache-file")
     O.CacheFile = Val;
-  else if (Flag == "--snapshot-cache-cap") {
-    if (!parseUnsigned(Val, U))
-      return BadNum();
-    O.SnapshotCacheCap = U;
-  } else if (Flag == "--result-cache-file")
+  else if (Flag == "--result-cache-file")
     O.ResultCacheFile = Val;
   else if (Flag == "--result-store-cap") {
     if (!parseUnsigned(Val, U))
@@ -334,10 +317,6 @@ bool applyJsonKey(AnalysisOptions &O, const std::string &Key,
     return Bool(O.Terminate);
   if (Key == "quicktests")
     return Bool(O.PairQuickTests);
-  if (Key == "incremental")
-    return Bool(O.Incremental);
-  if (Key == "snapshotSharing")
-    return Bool(O.ShareSnapshots);
   if (Key == "pipeline")
     return Bool(O.Pipeline);
   Err = "unknown option '" + Key + "'";

@@ -59,19 +59,12 @@ struct AnalysisOptions {
 
   // -- solver tiers ------------------------------------------------------
   bool PairQuickTests = true; ///< --no-quicktests / "quicktests": false
-  bool Incremental = true;    ///< --no-incremental / "incremental": false
-  /// Snapshot reuse policy: share per-pair elimination snapshots through
-  /// the query cache so identical pairs (across requests, or across
-  /// repeated analyses) skip the reduction. Requires the cache.
-  bool ShareSnapshots = true; ///< --no-snapshot-sharing / "snapshotSharing"
 
   // -- execution ---------------------------------------------------------
   unsigned Jobs = 1;         ///< --jobs N (0 = hardware)
   bool UseQueryCache = true; ///< --no-cache
   std::string CacheFile;     ///< --cache-file=PATH persistence
-  /// Snapshot-store bound: at most N elimination snapshots stay resident
-  /// in the query cache, LRU-evicted beyond that (0 = unbounded).
-  uint64_t SnapshotCacheCap = 0; ///< --snapshot-cache-cap N
+  uint64_t SnapshotCacheCap = 0; ///< unread; kept until next bench change
 
   // -- global result store ----------------------------------------------
   /// Persist the cross-request pair-result store: load from PATH at
@@ -85,7 +78,7 @@ struct AnalysisOptions {
   bool All = false;      ///< --all: also anti/output tables
   bool Compress = false; ///< --compress split rows
   bool Stats = false;    ///< --stats: per-pair cost classes
-  bool Json = false;     ///< --json: schema-4 machine output
+  bool Json = false;     ///< --json: schema-5 machine output
   enum ProfileMode : uint8_t { ProfileOff, ProfileText, ProfileJson };
   ProfileMode Profile = ProfileOff; ///< --profile[=json] / "profile": true
   bool Explain = false;             ///< --explain
@@ -100,7 +93,7 @@ struct AnalysisOptions {
   // -- pipeline partitioning --------------------------------------------
   /// Plan a PS-DSWP pipeline partition for every loop (stages over the
   /// SCC-DAG of the live dependence PDG) and report it: staged schedule
-  /// text for omega-analyze, the schema-4 "pipeline" result block for
+  /// text for omega-analyze, the schema-5 "pipeline" result block for
   /// JSON and serve responses.
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 

@@ -61,7 +61,7 @@ const char *enablingReasonName(char R) {
   }
 }
 
-/// The schema-4 "pipeline" array: one deterministic entry per loop.
+/// The "pipeline" array (schema 4 on): one deterministic entry per loop.
 void appendPipeline(std::string &Out, const ir::AnalyzedProgram &AP,
                     const analysis::AnalysisResult &R) {
   Out += "[";
@@ -183,18 +183,11 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"satCacheMisses\": " + std::to_string(S.SatCacheMisses) +
          ", \"gistCacheHits\": " + std::to_string(S.GistCacheHits) +
          ", \"gistCacheMisses\": " + std::to_string(S.GistCacheMisses) +
-         ", \"snapshotBuilds\": " + std::to_string(S.SnapshotBuilds) +
-         ", \"snapshotReuses\": " + std::to_string(S.SnapshotReuses) +
-         ", \"snapshotFallbacks\": " + std::to_string(S.SnapshotFallbacks) +
-         ", \"snapshotCacheHits\": " + std::to_string(S.SnapshotCacheHits) +
-         ", \"snapshotCacheMisses\": " +
-         std::to_string(S.SnapshotCacheMisses) +
          ", \"quicktestZiv\": " + std::to_string(S.QuickTestZIV) +
          ", \"quicktestGcd\": " + std::to_string(S.QuickTestGCD) +
          ", \"quicktestBounds\": " + std::to_string(S.QuickTestBounds) +
          ", \"quicktestTrivialDep\": " + std::to_string(S.QuickTestTrivialDep) +
          ", \"quicktestDecided\": " + std::to_string(S.QuickTestDecided) +
-         ", \"snapshotEvictions\": " + std::to_string(S.SnapshotEvictions) +
          ", \"deltaPairsReused\": " + std::to_string(S.DeltaPairsReused) +
          ", \"deltaPairsResolved\": " + std::to_string(S.DeltaPairsResolved) +
          ", \"deltaPairsNew\": " + std::to_string(S.DeltaPairsNew) +

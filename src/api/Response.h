@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Schema 4 of the machine-readable analysis output, shared byte-for-byte
+/// Schema 5 of the machine-readable analysis output, shared byte-for-byte
 /// by `omega-analyze --json` and omega-serve responses (the checked-in
 /// JSON schema file schema/analysis_response.schema.json describes it and
 /// CI validates both producers against it).
 ///
 /// The document separates what is deterministic from what is not:
 ///
-///   {"schema": 4, "ok": true, "result": {...}, "metrics": {...}}
+///   {"schema": 5, "ok": true, "result": {...}, "metrics": {...}}
 ///
 ///  * "result" holds the structural analysis outcome -- dependences,
 ///    splits, pair and kill records without timings. The engine guarantees
@@ -33,7 +33,9 @@
 /// "pipeline" array to "result" (requests opting in with --pipeline /
 /// "pipeline": true): per loop, the PS-DSWP stage partition, privatized
 /// arrays, and the kills that enabled the parallel stage. Like the rest
-/// of "result" it is fully deterministic.
+/// of "result" it is fully deterministic. Schema 5 drops the six
+/// elimination-snapshot counters from "stats" (the snapshot tier is gone);
+/// "result" is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +55,7 @@ struct AnalyzedProgram;
 namespace api {
 
 /// The version stamped into every response document.
-constexpr int SchemaVersion = 4;
+constexpr int SchemaVersion = 5;
 
 /// Renders the deterministic structural section: flow/anti/output
 /// dependences with their splits, pair records (hasFlow, usedGeneralTest,
@@ -72,7 +74,7 @@ std::string renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
                           double WallMs, const std::string &ProfileJson,
                           const std::string &ExplainLog);
 
-/// The complete CLI document: {"schema": 4, "ok": true, "result": R,
+/// The complete CLI document: {"schema": 5, "ok": true, "result": R,
 /// "metrics": M} plus a trailing newline.
 std::string renderDocument(const std::string &Result,
                            const std::string &Metrics);
@@ -82,14 +84,14 @@ std::string renderDocument(const std::string &Result,
 std::string renderServerOk(uint64_t Id, const std::string &Result,
                            const std::string &Metrics);
 
-/// A typed error response line: {"schema": 4, "id": ..., "ok": false,
+/// A typed error response line: {"schema": 5, "id": ..., "ok": false,
 /// "error": {"code": ..., "message": ...}}. \p HasId distinguishes a
 /// request whose id never parsed (id becomes null).
 std::string renderServerError(bool HasId, uint64_t Id, const std::string &Code,
                               const std::string &Message);
 
 /// An operational response line (the telemetry ops: metrics, health, and
-/// the shutdown acknowledgment): {"schema": 4, "id": ..., "ok": true,
+/// the shutdown acknowledgment): {"schema": 5, "id": ..., "ok": true,
 /// "op": OP, BODYKEY: BODY}. \p Body is pre-rendered JSON
 /// (schema/metrics_response.schema.json describes the three documents).
 std::string renderServerOp(bool HasId, uint64_t Id, const std::string &Op,

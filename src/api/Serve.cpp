@@ -94,12 +94,11 @@ struct Server::Telemetry {
   obs::Counter *EngAnalyses;
   // Engine-fed: per-request attribution summed into process totals.
   obs::Counter *EngSatCalls, *EngSatHits, *EngSatMisses, *EngGistHits,
-      *EngGistMisses, *EngSnapHits, *EngSnapMisses, *EngQuickDecided,
-      *EngDeltaReused, *EngDeltaResolved, *EngDeltaNew, *StoreHits,
-      *StoreMisses, *StoreEvictions;
+      *EngGistMisses, *EngQuickDecided, *EngDeltaReused, *EngDeltaResolved,
+      *EngDeltaNew, *StoreHits, *StoreMisses, *StoreEvictions;
 
   obs::Gauge *QueueDepth, *ActiveWorkers, *LiveSessions, *CacheEntries,
-      *SnapshotEntries, *ResultStoreEntries;
+      *ResultStoreEntries;
 
   obs::Histogram *QueueWaitUs, *ParseUs, *SolveUs, *SerializeUs, *RequestUs;
 
@@ -161,10 +160,6 @@ struct Server::Telemetry {
                     "Gists answered from the shared cache");
     EngGistMisses = C("omega_engine_gist_cache_misses_total",
                       "Gist queries the shared cache could not answer");
-    EngSnapHits = C("omega_engine_snapshot_cache_hits_total",
-                    "Elimination snapshots adopted from the shared cache");
-    EngSnapMisses = C("omega_engine_snapshot_cache_misses_total",
-                      "Snapshot lookups the shared cache could not answer");
     EngQuickDecided = C("omega_engine_quicktest_decided_total",
                         "Pair queries decided by the ZIV/GCD/bounds "
                         "pre-filter");
@@ -195,9 +190,6 @@ struct Server::Telemetry {
                      "Incremental sessions with retained fingerprints");
     CacheEntries = G("omega_serve_cache_entries",
                      "Entries resident in the shared query cache");
-    SnapshotEntries = G("omega_serve_snapshot_store_entries",
-                        "Elimination snapshots resident in the shared "
-                        "cache's LRU store");
     ResultStoreEntries = G("omega_result_store_entries",
                            "Solved outcomes resident in the global "
                            "result store");
@@ -249,7 +241,6 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
   };
   if (Cfg.Defaults.UseQueryCache) {
     Cache = std::make_unique<QueryCache>();
-    Cache->setSnapshotCapacity(Cfg.Defaults.SnapshotCacheCap);
     if (!Cfg.CacheFile.empty()) {
       std::ifstream In(Cfg.CacheFile, std::ios::binary);
       std::string Err;
@@ -615,14 +606,10 @@ std::string coalesceKey(const AnalysisOptions &O, const std::string &Source) {
   B(O.QuickTests);
   B(O.Terminate);
   B(O.PairQuickTests);
-  B(O.Incremental);
-  B(O.ShareSnapshots);
   B(O.UseQueryCache);
   B(O.Pipeline);
   K += '|';
   K += std::to_string(O.Jobs);
-  K += '|';
-  K += std::to_string(O.SnapshotCacheCap);
   K += '\n';
   K += Source;
   return K;
@@ -805,8 +792,6 @@ void Server::runOne(Request &R, unsigned Index) {
   Tele->EngSatMisses->add(Result.Cache.SatMisses);
   Tele->EngGistHits->add(Result.Cache.GistHits);
   Tele->EngGistMisses->add(Result.Cache.GistMisses);
-  Tele->EngSnapHits->add(Result.Stats.SnapshotCacheHits);
-  Tele->EngSnapMisses->add(Result.Stats.SnapshotCacheMisses);
   Tele->EngQuickDecided->add(Result.Stats.QuickTestDecided);
   Tele->EngDeltaReused->add(Result.Stats.DeltaPairsReused);
   Tele->EngDeltaResolved->add(Result.Stats.DeltaPairsResolved);
@@ -947,8 +932,6 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   // the server's registry.
   obs::set(Tele->CacheEntries,
            Cache ? static_cast<int64_t>(Cache->size()) : 0);
-  obs::set(Tele->SnapshotEntries,
-           Cache ? static_cast<int64_t>(Cache->snapshotCount()) : 0);
   obs::set(Tele->ResultStoreEntries, static_cast<int64_t>(Store.size()));
   return Tele->Registry.snapshot();
 }
@@ -970,9 +953,7 @@ std::string Server::metricsBody() const {
          ", \"satMisses\": " + std::to_string(CS.SatMisses) +
          ", \"gistHits\": " + std::to_string(CS.GistHits) +
          ", \"gistMisses\": " + std::to_string(CS.GistMisses) +
-         ", \"entries\": " + std::to_string(Cache ? Cache->size() : 0) +
-         ", \"snapshots\": " +
-         std::to_string(Cache ? Cache->snapshotCount() : 0) + "}";
+         ", \"entries\": " + std::to_string(Cache ? Cache->size() : 0) + "}";
   // The store's own lifetime counters (lookup-level, unlike the
   // engine-attributed registry totals, which count materializations).
   engine::ResultStoreStats RS = Store.stats();

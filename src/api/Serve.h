@@ -14,7 +14,7 @@
 ///   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }",
 ///    "options": {"quicktests": false}, "deadlineMs": 500}
 ///
-/// Responses are schema-4 documents (api/Response.h) with the request id
+/// Responses are schema-5 documents (api/Response.h) with the request id
 /// spliced in; `{"id": 2, "op": "shutdown"}` stops the server. Because
 /// the engine's structural result is deterministic for every Jobs value
 /// and cache state, a server response's "result" section is byte-identical
@@ -23,9 +23,9 @@
 ///
 /// Architecture: N worker threads, each owning a private DependenceEngine
 /// (an engine run is not reentrant), all engines pointing at ONE shared
-/// QueryCache. The cache is the warmth substrate -- sat verdicts, gists,
-/// and elimination snapshots computed for any request are reused by every
-/// later one -- and the unit of persistence (Config::CacheFile warm-starts
+/// QueryCache. The cache is the warmth substrate -- sat verdicts and
+/// gists computed for any request are reused by every later one -- and
+/// the unit of persistence (Config::CacheFile warm-starts
 /// it across server lifetimes). Admission control is a bounded queue:
 /// submissions beyond MaxQueue are shed immediately with an "overloaded"
 /// error, and a request whose deadline passed while queued is answered

@@ -296,8 +296,8 @@ private:
       return printCmd();
     if (Head == "trace")
       return traceCmd();
-    if (Head == "quicktests" || Head == "incremental")
-      return toggleCmd(Head);
+    if (Head == "quicktests")
+      return quickTestsCmd();
     error("unknown command '" + Head + "'");
   }
 
@@ -321,23 +321,20 @@ private:
     }
   }
 
-  /// `quicktests on|off;` / `incremental on|off;`: the calc mirrors of
-  /// omega-analyze's --no-quicktests / --no-incremental ablation flags,
-  /// flipping the pair-solver tier toggles on the calculator's context.
-  void toggleCmd(const std::string &Which) {
+  /// `quicktests on|off;`: the calc mirror of omega-analyze's
+  /// --no-quicktests ablation flag, flipping the pair quick-test toggle on
+  /// the calculator's context.
+  void quickTestsCmd() {
     if (Cur.Kind != Tok::Ident || (Cur.Text != "on" && Cur.Text != "off")) {
-      error("expected 'on' or 'off' after '" + Which + "'");
+      error("expected 'on' or 'off' after 'quicktests'");
       return;
     }
     bool On = Cur.Text == "on";
     bump();
     if (!expect(Tok::Semi, "';'"))
       return;
-    if (Which == "quicktests")
-      Calc.context().PairQuickTests = On;
-    else
-      Calc.context().IncrementalSnapshots = On;
-    Out += Which + (On ? " on\n" : " off\n");
+    Calc.context().PairQuickTests = On;
+    Out += On ? "quicktests on\n" : "quicktests off\n";
   }
 
   void assignment(const std::string &Name) {

@@ -57,7 +57,7 @@ std::vector<Dependence> DependenceAnalysis::computeAllDependences() const {
   // then anti, then output), but solve them grouped by *unordered*
   // reference pair: the flow and anti questions about a read/write pair --
   // and the two directions plus all levels of each -- share one PairSolver,
-  // so quick tests and the elimination snapshot are built once per pair
+  // so quick tests and the shared pair problem are built once per pair
   // instead of once per query.
   struct Query {
     const ir::Access *Src;

@@ -91,9 +91,12 @@ uint64_t taskKey(unsigned Phase, std::size_t Index) {
   return (static_cast<uint64_t>(Phase) << 48) | Index;
 }
 
-/// "s3 A(I,J)": statement number plus the source rendering.
+/// "s3 A(I,J) (read #7)": statement number, source rendering, and the
+/// access's direction and Id, so the write and a read of the same text in
+/// one statement get distinct labels.
 std::string accessLabel(const ir::Access &A) {
-  return "s" + std::to_string(A.StmtLabel) + " " + A.Text;
+  return "s" + std::to_string(A.StmtLabel) + " " + A.Text +
+         (A.IsWrite ? " (write #" : " (read #") + std::to_string(A.Id) + ")";
 }
 
 } // namespace
@@ -106,7 +109,7 @@ DependenceEngine::DependenceEngine(const AnalysisRequest &Req) : Req(Req) {
     Cache = OwnedCache.get();
   }
   Pool = std::make_unique<WorkerPool>(Req.Jobs, Cache, Req.Trace);
-  // The pair-solver tiers read their toggles off the worker's context, so
+  // The pair solver reads its toggle off the worker's context, so
   // deep call chains (and the calc/CLI ablations) all steer one switch.
   applyOptions(Req);
 }
@@ -120,19 +123,14 @@ void DependenceEngine::applyOptions(const AnalysisRequest &O) {
   Req.Kill = O.Kill;
   Req.Terminate = O.Terminate;
   Req.PairQuickTests = O.PairQuickTests;
-  Req.Incremental = O.Incremental;
-  Req.ShareSnapshots = O.ShareSnapshots;
   Req.Previous = O.Previous;
   Req.Store = O.Store;
   // Per-request parallelism: clamp to the pool built at construction (0
   // asks for the full pool). Threads are reused, never respawned.
   Req.Jobs = O.Jobs;
   Pool->setActiveWorkers(O.Jobs);
-  Pool->forEachContext([&](OmegaContext &Ctx) {
-    Ctx.PairQuickTests = Req.PairQuickTests;
-    Ctx.IncrementalSnapshots = Req.Incremental;
-    Ctx.SnapshotSharing = Req.ShareSnapshots;
-  });
+  Pool->forEachContext(
+      [&](OmegaContext &Ctx) { Ctx.PairQuickTests = Req.PairQuickTests; });
 }
 
 void DependenceEngine::setTracer(obs::Tracer *T) {
@@ -153,7 +151,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   // per query. Queries are enumerated exactly as the serial analysis does,
   // then grouped by unordered reference pair in first-appearance order:
   // one task per group builds one PairSolver (quick tests once, one
-  // elimination snapshot living on one worker) and answers all of the
+  // shared pair problem living on one worker) and answers all of the
   // pair's kinds, directions and levels on it. Results still land in
   // index-addressed per-query slots and merge in enumeration order, so the
   // output is identical to per-query scheduling.

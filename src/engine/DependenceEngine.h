@@ -92,15 +92,6 @@ struct AnalysisRequest {
   /// ZIV/GCD/bounds pre-filter: decide provably independent or trivially
   /// dependent pairs with no Omega call (ablation: --no-quicktests).
   bool PairQuickTests = true;
-  /// Per-pair elimination snapshots: reduce each pair's shared system once
-  /// and replay only the per-query ordering rows (--no-incremental).
-  bool Incremental = true;
-  /// Share elimination snapshots across pair solvers through the query
-  /// cache, so repeat analyses -- and concurrent server requests over the
-  /// same kernels -- adopt snapshots instead of rebuilding them
-  /// (--no-snapshot-sharing). Requires a cache; result-identical either
-  /// way.
-  bool ShareSnapshots = true;
   /// Use this externally owned cache instead of constructing one. The
   /// serving stack points every worker engine at one cache, which is what
   /// makes warmth survive across requests and clients. Must outlive the
@@ -169,7 +160,7 @@ public:
   AnalysisResult analyze(const ir::AnalyzedProgram &AP);
 
   /// Re-points the pipeline and tier toggles (QuickTests, Refine, Cover,
-  /// Kill, Terminate, PairQuickTests, Incremental, ShareSnapshots), the
+  /// Kill, Terminate, PairQuickTests), the
   /// reuse fields (Previous, Store), and the active worker
   /// count (Jobs, clamped to the pool built at construction) at \p O's values
   /// without rebuilding the pool or cache. The serving stack uses this

@@ -128,9 +128,8 @@ struct KillGroupOutcome {
 };
 
 /// The pipeline switches a stored outcome depends on: an outcome recorded
-/// under one signature is invisible under another. Solver-tier toggles
-/// (quick pair tests, incremental snapshots, snapshot sharing) are
-/// excluded: they are result-identical by construction.
+/// under one signature is invisible under another. The quick pair tests'
+/// toggle is excluded: that tier is result-identical by construction.
 struct PipelineSig {
   bool Refine = true;
   bool Cover = true;

@@ -34,14 +34,13 @@ const char *obs::spanKindName(SpanKind K) {
     return "cover";
   case SpanKind::Refine:
     return "refine";
-  case SpanKind::SnapshotBuild:
-    return "snapshot-build";
   case SpanKind::QuickTest:
     return "quick-test";
   case SpanKind::EngineTask:
     return "engine-task";
   case SpanKind::Decision:
     return "decision";
+  case SpanKind::SnapshotBuild:
   case SpanKind::NumKinds:
     break;
   }
@@ -288,9 +287,6 @@ std::string Tracer::profileReport(bool Json, double WallMs,
         {"sat_cache_misses", S.SatCacheMisses},
         {"gist_cache_hits", S.GistCacheHits},
         {"gist_cache_misses", S.GistCacheMisses},
-        {"snapshot_builds", S.SnapshotBuilds},
-        {"snapshot_reuses", S.SnapshotReuses},
-        {"snapshot_fallbacks", S.SnapshotFallbacks},
         {"quicktest_ziv", S.QuickTestZIV},
         {"quicktest_gcd", S.QuickTestGCD},
         {"quicktest_bounds", S.QuickTestBounds},
@@ -332,12 +328,9 @@ std::string Tracer::profileReport(bool Json, double WallMs,
           P.Classes.Splintered, P.Classes.total(), S.SatisfiabilityCalls);
   appendF(Out,
           "pair tiers: quick-test decided %" PRIu64 " (ziv %" PRIu64
-          ", gcd %" PRIu64 ", bounds %" PRIu64 ", trivial %" PRIu64
-          "), snapshot reuses %" PRIu64 " / builds %" PRIu64
-          " (fallbacks %" PRIu64 ")\n",
+          ", gcd %" PRIu64 ", bounds %" PRIu64 ", trivial %" PRIu64 ")\n",
           S.QuickTestDecided, S.QuickTestZIV, S.QuickTestGCD, S.QuickTestBounds,
-          S.QuickTestTrivialDep, S.SnapshotReuses, S.SnapshotBuilds,
-          S.SnapshotFallbacks);
+          S.QuickTestTrivialDep);
   return Out;
 }
 

@@ -71,7 +71,7 @@ enum class SpanKind : uint8_t {
   Kill,       ///< Section 4.1/4.3 kill / terminate predicate
   Cover,      ///< Section 4.2 coverage predicate
   Refine,     ///< Section 4.4 refinement of one dependence
-  SnapshotBuild, ///< construction of one pair elimination snapshot
+  SnapshotBuild, ///< never opened; kept until the next bench change
   QuickTest,  ///< ZIV/GCD/bounds pre-filter over one pair
   EngineTask, ///< one engine work item (pair / flow / kill group)
   Decision,   ///< instant event: a mechanism decided an outcome

@@ -56,17 +56,11 @@ public:
   /// one branch and never allocates. Single-writer like Stats. Not owned.
   obs::TraceBuffer *Trace = nullptr;
 
-  /// Ablation toggles for the incremental pair-solving layer (PR 4).
-  /// PairSolver consults these, so the engine, the CLI flags and the calc
-  /// directives all steer the same switch. Both tiers are sound and
-  /// result-identical; the toggles exist for benchmarking and attribution.
-  bool IncrementalSnapshots = true; ///< reuse per-pair elimination snapshots
-  bool PairQuickTests = true;       ///< ZIV/GCD/bounds pre-filter per pair
-  /// Share elimination snapshots across pair solvers through the cache
-  /// (the serving stack's cross-request warmth; see QueryCache::
-  /// lookupSnapshot). Only observable in counters and wall time: a cached
-  /// snapshot is bit-identical to a rebuilt one.
-  bool SnapshotSharing = true;
+  /// Ablation toggle for the ZIV/GCD/bounds pre-filter PairSolver runs
+  /// before each dependence query. The engine, the CLI flags and the calc
+  /// directives all steer this one switch. The tier is sound and
+  /// result-identical; the toggle exists for benchmarking and attribution.
+  bool PairQuickTests = true;
 
   OmegaContext() = default;
   explicit OmegaContext(QueryCache *Cache) : Cache(Cache) {}

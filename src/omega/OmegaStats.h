@@ -42,17 +42,8 @@ struct OmegaStats {
   uint64_t GistCacheHits = 0;       // gist results answered by QueryCache
   uint64_t GistCacheMisses = 0;     // gist lookups that missed
 
-  // Incremental pair solving (deps/PairSolver.h). SnapshotReuses is the
-  // dedicated "answered on a snapshot" counter: snapshot-path queries go
-  // through isSatisfiable() exactly once like any other query (so the
-  // Figure-6 classes still sum to SatisfiabilityCalls) and bump this
-  // counter *instead of* a second cache-hit count.
-  uint64_t SnapshotBuilds = 0;      // pair snapshots constructed
-  uint64_t SnapshotReuses = 0;      // (kind, level) cases replayed on one
-  uint64_t SnapshotFallbacks = 0;   // cases sent back to the scratch path
-  uint64_t SnapshotCacheHits = 0;   // snapshots adopted from the QueryCache
-  uint64_t SnapshotCacheMisses = 0; // snapshot lookups that missed
-  uint64_t SnapshotEvictions = 0;   // snapshots dropped by the LRU cap
+  uint64_t SnapshotReuses = 0;      // always 0; kept until next bench change
+  uint64_t SnapshotFallbacks = 0;   // always 0; kept until next bench change
 
   // Edit-incremental delta accounting (engine/DependenceEngine.h,
   // DeltaMetrics): how this run's access pairs were classified against
@@ -110,12 +101,6 @@ private:
     SatCacheMisses += Sign * O.SatCacheMisses;
     GistCacheHits += Sign * O.GistCacheHits;
     GistCacheMisses += Sign * O.GistCacheMisses;
-    SnapshotBuilds += Sign * O.SnapshotBuilds;
-    SnapshotReuses += Sign * O.SnapshotReuses;
-    SnapshotFallbacks += Sign * O.SnapshotFallbacks;
-    SnapshotCacheHits += Sign * O.SnapshotCacheHits;
-    SnapshotCacheMisses += Sign * O.SnapshotCacheMisses;
-    SnapshotEvictions += Sign * O.SnapshotEvictions;
     DeltaPairsReused += Sign * O.DeltaPairsReused;
     DeltaPairsResolved += Sign * O.DeltaPairsResolved;
     DeltaPairsNew += Sign * O.DeltaPairsNew;

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <istream>
 #include <iterator>
-#include <list>
 #include <map>
 #include <ostream>
 
@@ -25,27 +24,6 @@ struct QueryCache::Shard {
   std::mutex M;
   std::unordered_map<std::string, bool> Sat;
   std::unordered_map<std::string, std::vector<Constraint>> Gist;
-  /// Snapshots carry an LRU hook: SnapLRU orders keys most-recent-first,
-  /// and entries beyond SnapCap are evicted from the tail on store.
-  struct SnapEntry {
-    EliminationSnapshot Snap;
-    std::list<std::string>::iterator Recency;
-  };
-  std::unordered_map<std::string, SnapEntry> Snap;
-  std::list<std::string> SnapLRU;
-  std::size_t SnapCap = 0; ///< 0 = unbounded
-
-  /// Drops least-recently-used snapshots down to the cap (caller locks).
-  /// Returns how many were evicted.
-  std::size_t enforceSnapCap() {
-    std::size_t Evicted = 0;
-    while (SnapCap != 0 && Snap.size() > SnapCap) {
-      Snap.erase(SnapLRU.back());
-      SnapLRU.pop_back();
-      ++Evicted;
-    }
-    return Evicted;
-  }
 };
 
 QueryCache::QueryCache(unsigned ShardCount) {
@@ -109,62 +87,6 @@ void QueryCache::storeGist(const std::string &Key,
   S.Gist.emplace(Key, std::move(Rows));
 }
 
-std::optional<EliminationSnapshot>
-QueryCache::lookupSnapshot(const std::string &Key, OmegaStats *Stats) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Snap.find(Key);
-  if (It == S.Snap.end()) {
-    if (Stats)
-      ++Stats->SnapshotCacheMisses;
-    return std::nullopt;
-  }
-  S.SnapLRU.splice(S.SnapLRU.begin(), S.SnapLRU, It->second.Recency);
-  if (Stats)
-    ++Stats->SnapshotCacheHits;
-  return It->second.Snap;
-}
-
-void QueryCache::storeSnapshot(const std::string &Key,
-                               const EliminationSnapshot &Snap,
-                               OmegaStats *Stats) {
-  Shard &S = shardFor(Key);
-  std::size_t Evicted = 0;
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Snap.find(Key);
-    if (It != S.Snap.end()) {
-      S.SnapLRU.splice(S.SnapLRU.begin(), S.SnapLRU, It->second.Recency);
-    } else {
-      S.SnapLRU.push_front(Key);
-      S.Snap.emplace(Key, Shard::SnapEntry{Snap, S.SnapLRU.begin()});
-      Evicted = S.enforceSnapCap();
-    }
-  }
-  if (Evicted) {
-    SnapEvictions.fetch_add(Evicted, std::memory_order_relaxed);
-    if (Stats)
-      Stats->SnapshotEvictions += Evicted;
-  }
-}
-
-void QueryCache::setSnapshotCapacity(std::uint64_t Cap) {
-  // Shards split the budget evenly; a nonzero cap grants each shard at
-  // least one entry, so the effective total is at least the shard count.
-  std::size_t PerShard =
-      Cap == 0 ? 0
-               : std::max<std::size_t>(1, static_cast<std::size_t>(
-                                              Cap / Shards.size()));
-  std::size_t Evicted = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->M);
-    S->SnapCap = PerShard;
-    Evicted += S->enforceSnapCap();
-  }
-  if (Evicted)
-    SnapEvictions.fetch_add(Evicted, std::memory_order_relaxed);
-}
-
 QueryCacheStats QueryCache::stats() const {
   QueryCacheStats R;
   R.SatHits = SatHits.load(std::memory_order_relaxed);
@@ -178,16 +100,7 @@ std::size_t QueryCache::size() const {
   std::size_t N = 0;
   for (const auto &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
-    N += S->Sat.size() + S->Gist.size() + S->Snap.size();
-  }
-  return N;
-}
-
-std::size_t QueryCache::snapshotCount() const {
-  std::size_t N = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->M);
-    N += S->Snap.size();
+    N += S->Sat.size() + S->Gist.size();
   }
   return N;
 }
@@ -197,7 +110,6 @@ void QueryCache::clear() {
     std::lock_guard<std::mutex> Lock(S->M);
     S->Sat.clear();
     S->Gist.clear();
-    S->Snap.clear();
   }
 }
 
@@ -565,31 +477,5 @@ std::string omega::gistCacheKey(const Problem &P, const Problem &Given,
   };
   appendRows(P);
   appendRows(Given);
-  return Key;
-}
-
-std::string omega::snapshotCacheKey(const Problem &P,
-                                    const std::vector<bool> &Keep) {
-  // Exact serialization on purpose (like gist keys, unlike sat keys): an
-  // adopted snapshot's reduced problem is replayed against the caller's
-  // pair layout, so VarIds must line up column for column.
-  std::string Key;
-  Key.push_back('s');
-  appendU32(Key, P.getNumVars());
-  for (VarId V = 0, E = P.getNumVars(); V != static_cast<VarId>(E); ++V)
-    Key.push_back(static_cast<char>((P.isProtected(V) ? 1 : 0) |
-                                    (P.isDead(V) ? 2 : 0) |
-                                    (V < static_cast<VarId>(Keep.size()) &&
-                                             Keep[V]
-                                         ? 4
-                                         : 0)));
-  appendU32(Key, P.getNumConstraints());
-  for (const Constraint &Row : P.constraints()) {
-    Key.push_back(Row.isEquality() ? 'E' : 'G');
-    Key.push_back(Row.isRed() ? 'r' : 'b');
-    appendI64(Key, Row.getConstant());
-    for (VarId V = 0, E = Row.getNumVars(); V != static_cast<VarId>(E); ++V)
-      appendI64(Key, Row.getCoeff(V));
-  }
   return Key;
 }

@@ -31,7 +31,6 @@
 
 #include "omega/OmegaStats.h"
 #include "omega/Problem.h"
-#include "omega/Snapshot.h"
 
 #include <atomic>
 #include <cstdint>
@@ -78,37 +77,12 @@ public:
                                                     OmegaStats *Stats = nullptr);
   void storeGist(const std::string &Key, std::vector<Constraint> Rows);
 
-  /// The memoized elimination snapshot for \p Key, if any (the serving
-  /// stack's cross-request snapshot reuse: a snapshot is a deterministic
-  /// function of the exact pair system + keep mask the key serializes, so
-  /// adopting one is result-identical to rebuilding it). Counts hits and
-  /// misses on \p Stats' SnapshotCache counters when non-null. Snapshots
-  /// are in-memory only -- save()/load() persist just sat/gist entries.
-  std::optional<EliminationSnapshot>
-  lookupSnapshot(const std::string &Key, OmegaStats *Stats = nullptr);
-  /// Stores a snapshot, evicting least-recently-used entries beyond the
-  /// configured capacity. Evictions count on the cache's atomic and on
-  /// \p Stats' SnapshotEvictions when non-null. Eviction only ever
-  /// forces a rebuild on a future miss -- never a wrong answer.
-  void storeSnapshot(const std::string &Key, const EliminationSnapshot &Snap,
-                     OmegaStats *Stats = nullptr);
-
-  /// Bounds the snapshot store to \p Cap entries across all shards
-  /// (0 = unbounded, the default). Shards split the budget evenly, one
-  /// entry minimum each. Lowering the cap evicts immediately.
-  void setSnapshotCapacity(std::uint64_t Cap);
-
-  /// Snapshots evicted over the cache's lifetime.
-  uint64_t snapshotEvictions() const {
-    return SnapEvictions.load(std::memory_order_relaxed);
-  }
+  /// No-op; stays only until the next benchmark change (perfbench calls it).
+  void setSnapshotCapacity(std::uint64_t) {}
 
   QueryCacheStats stats() const;
   /// Number of memoized entries (all kinds).
   std::size_t size() const;
-  /// Number of resident elimination snapshots (the LRU-bounded store's
-  /// occupancy; the serving stack exposes it as a gauge).
-  std::size_t snapshotCount() const;
   void clear();
 
   //===--------------------------------------------------------------------===//
@@ -137,7 +111,6 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
   std::atomic<uint64_t> SatHits{0}, SatMisses{0};
   std::atomic<uint64_t> GistHits{0}, GistMisses{0};
-  std::atomic<uint64_t> SnapEvictions{0};
 };
 
 /// Builds the satisfiability cache key of \p P: the problem is copied and
@@ -156,13 +129,6 @@ std::optional<std::string> canonicalSatKey(const Problem &P, int ModeTag);
 /// caller's exact layout, so only textually identical layouts may share.
 std::string gistCacheKey(const Problem &P, const Problem &Given,
                          bool UseFastChecks);
-
-/// Builds the snapshot cache key of (\p P reduced keeping \p Keep): an
-/// exact serialization of the row system, the layout's protected/dead
-/// structure, and the keep mask. Like gist keys it is deliberately not
-/// order-canonical -- an adopted snapshot's VarIds must line up with the
-/// caller's pair problem column for column.
-std::string snapshotCacheKey(const Problem &P, const std::vector<bool> &Keep);
 
 } // namespace omega
 

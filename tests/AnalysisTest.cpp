@@ -352,8 +352,8 @@ TEST(Section4, LiveDeadTablesRender) {
 
 TEST(Section4, StridedNestRefinementKeepsBackwardFlow) {
   // Regression: both loops strided, write subscript with a negative outer
-  // coefficient, so the flow's distance vector is (+, -). The refinement
-  // snapshot used to drive mod-hat equality elimination into a cycle over
+  // coefficient, so the flow's distance vector is (+, -). The (since removed)
+  // refinement snapshot used to drive mod-hat equality elimination into a cycle over
   // the stride wildcards (they never reach a unit coefficient because the
   // protected distance variables stay in the rows), saturate, and then
   // read a bogus unsat off the clamped rows -- silently deleting the

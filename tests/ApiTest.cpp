@@ -5,7 +5,7 @@
 //
 // The api layer's contract: one option table drives the CLI parser, the
 // JSON request parser, and the help text (spellings can never drift); the
-// response document is schema 4 with a deterministic "result" section.
+// response document is schema 5 with a deterministic "result" section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 using namespace omega;
@@ -45,16 +47,12 @@ TEST(ApiOptions, DefaultsMatchStruct) {
   EXPECT_TRUE(O.QuickTests);
   EXPECT_FALSE(O.Terminate);
   EXPECT_TRUE(O.PairQuickTests);
-  EXPECT_TRUE(O.Incremental);
-  EXPECT_TRUE(O.ShareSnapshots);
   EXPECT_EQ(O.Jobs, 1u);
   EXPECT_TRUE(O.UseQueryCache);
 
   engine::AnalysisRequest R = O.toEngineRequest();
   EXPECT_TRUE(R.Refine);
   EXPECT_TRUE(R.PairQuickTests);
-  EXPECT_TRUE(R.Incremental);
-  EXPECT_TRUE(R.ShareSnapshots);
   EXPECT_EQ(R.Jobs, 1u);
 }
 
@@ -71,14 +69,12 @@ TEST(ApiOptions, TableHasUniqueSpellings) {
 }
 
 TEST(ApiOptions, CliFlagsApply) {
-  ParsedArgs P = parsed({"--jobs", "8", "--no-quicktests", "--no-incremental",
-                         "--no-snapshot-sharing", "--no-cache", "--json",
-                         "--terminate", "--cache-file=/tmp/x.qc", "input.tiny"},
+  ParsedArgs P = parsed({"--jobs", "8", "--no-quicktests", "--no-cache",
+                         "--json", "--terminate", "--cache-file=/tmp/x.qc",
+                         "input.tiny"},
                         ToolAnalyze);
   EXPECT_EQ(P.Options.Jobs, 8u);
   EXPECT_FALSE(P.Options.PairQuickTests);
-  EXPECT_FALSE(P.Options.Incremental);
-  EXPECT_FALSE(P.Options.ShareSnapshots);
   EXPECT_FALSE(P.Options.UseQueryCache);
   EXPECT_TRUE(P.Options.Json);
   EXPECT_TRUE(P.Options.Terminate);
@@ -187,7 +183,7 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   json::Value Obj;
   std::string Err;
   ASSERT_TRUE(json::parse("{\"jobs\": 6, \"refine\": false, "
-                          "\"quicktests\": false, \"snapshotSharing\": false}",
+                          "\"quicktests\": false, \"pipeline\": true}",
                           Obj, Err))
       << Err;
   AnalysisOptions O;
@@ -195,10 +191,12 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   EXPECT_EQ(O.Jobs, 6u);
   EXPECT_FALSE(O.Refine);
   EXPECT_FALSE(O.PairQuickTests);
-  EXPECT_FALSE(O.ShareSnapshots);
+  EXPECT_TRUE(O.Pipeline);
 
   // Unknown keys and mistyped values are hard errors, not silent noise.
   ASSERT_TRUE(json::parse("{\"refinement\": false}", Obj, Err));
+  EXPECT_FALSE(optionsFromJson(Obj, O, Err));
+  ASSERT_TRUE(json::parse("{\"incremental\": false}", Obj, Err));
   EXPECT_FALSE(optionsFromJson(Obj, O, Err));
   ASSERT_TRUE(json::parse("{\"jobs\": \"many\"}", Obj, Err));
   EXPECT_FALSE(optionsFromJson(Obj, O, Err));
@@ -265,7 +263,7 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, V, Err)) << Err;
   EXPECT_EQ(V.get("schema")->asInt(), SchemaVersion);
-  EXPECT_EQ(SchemaVersion, 4);
+  EXPECT_EQ(SchemaVersion, 5);
   EXPECT_TRUE(V.get("ok")->asBool());
   ASSERT_NE(V.get("result"), nullptr);
   ASSERT_NE(V.get("metrics"), nullptr);
@@ -279,8 +277,48 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   EXPECT_EQ(M->get("jobs")->asInt(), 1);
   EXPECT_DOUBLE_EQ(M->get("wallMs")->asNumber(), 1.25);
   ASSERT_NE(M->get("stats"), nullptr);
-  ASSERT_NE(M->get("stats")->get("snapshotCacheHits"), nullptr);
+  ASSERT_NE(M->get("stats")->get("quicktestDecided"), nullptr);
   ASSERT_NE(M->get("cache"), nullptr);
+}
+
+// The renderer and the checked-in schema list the same "stats" counters:
+// the schema closes the object (additionalProperties false) and requires
+// every key, so a counter added to or dropped from one side only fails
+// here rather than in a CI schema run.
+TEST(ApiResponse, StatsKeysMatchTheSchema) {
+  std::ifstream In(std::string(OMEGA_SCHEMA_DIR) +
+                   "/analysis_response.schema.json");
+  ASSERT_TRUE(In.is_open());
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  json::Value Schema;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Buf.str(), Schema, Err)) << Err;
+  const json::Value *Stats = Schema.get("definitions")
+                                 ->get("metrics")
+                                 ->get("properties")
+                                 ->get("stats");
+  ASSERT_NE(Stats, nullptr);
+  ASSERT_NE(Stats->get("additionalProperties"), nullptr);
+  EXPECT_FALSE(Stats->get("additionalProperties")->asBool());
+  std::vector<std::string> Required;
+  for (const json::Value &K : Stats->get("required")->asArray())
+    Required.push_back(K.asString());
+  std::set<std::string> Declared;
+  for (const auto &[Key, Def] : Stats->get("properties")->asObject())
+    Declared.insert(Key);
+
+  engine::AnalysisResult R;
+  json::Value Metrics;
+  ASSERT_TRUE(json::parse(renderMetrics(R, 1, 0, "", ""), Metrics, Err))
+      << Err;
+  std::vector<std::string> Rendered;
+  for (const auto &[Key, V] : Metrics.get("stats")->asObject())
+    Rendered.push_back(Key);
+
+  EXPECT_EQ(Rendered, Required); // same keys, same order
+  EXPECT_EQ(std::set<std::string>(Rendered.begin(), Rendered.end()),
+            Declared);
 }
 
 TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
@@ -302,7 +340,7 @@ TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
 
 TEST(ApiResponse, ServerVariantsCarryIdAndTypedErrors) {
   std::string Ok = renderServerOk(7, "{}", "{}");
-  EXPECT_NE(Ok.find("\"schema\": 4"), std::string::npos);
+  EXPECT_NE(Ok.find("\"schema\": 5"), std::string::npos);
   EXPECT_NE(Ok.find("\"id\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"ok\": true"), std::string::npos);
 

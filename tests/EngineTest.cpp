@@ -290,29 +290,3 @@ TEST(Engine, SharedCacheStatsAreAttributedPerRequest) {
   EXPECT_GT(Sum.SatHits, 0u);
 }
 
-// Snapshot sharing through the cache is an optimization, never a result
-// change; a warm engine adopts snapshots instead of rebuilding them.
-TEST(Engine, SnapshotSharingIsResultIdenticalAndWarms) {
-  engine::AnalysisRequest On = makeRequest(1, /*Cache=*/true);
-  engine::AnalysisRequest Off = makeRequest(1, /*Cache=*/true);
-  Off.ShareSnapshots = false;
-  engine::DependenceEngine Sharing(On), Isolated(Off);
-
-  uint64_t TotalAdoptions = 0;
-  for (const kernels::Kernel &K : kernels::corpus()) {
-    ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
-    if (!AP.ok())
-      continue;
-    engine::AnalysisResult First = Sharing.analyze(AP);
-    engine::AnalysisResult Warm = Sharing.analyze(AP);
-    engine::AnalysisResult Plain = Isolated.analyze(AP);
-    EXPECT_EQ(signatureOf(Warm), signatureOf(Plain)) << "kernel " << K.Name;
-    EXPECT_EQ(signatureOf(First), signatureOf(Warm)) << "kernel " << K.Name;
-    // A warm re-analysis adopts every snapshot it would have rebuilt.
-    EXPECT_EQ(Warm.Stats.SnapshotBuilds, 0u) << "kernel " << K.Name;
-    EXPECT_EQ(Plain.Stats.SnapshotCacheHits, 0u) << "kernel " << K.Name;
-    EXPECT_EQ(Plain.Stats.SnapshotCacheMisses, 0u) << "kernel " << K.Name;
-    TotalAdoptions += Warm.Stats.SnapshotCacheHits;
-  }
-  EXPECT_GT(TotalAdoptions, 0u);
-}

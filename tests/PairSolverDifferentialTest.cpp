@@ -1,12 +1,12 @@
 //===- tests/PairSolverDifferentialTest.cpp -------------------------------===//
 //
-// The incremental tiers (quick tests + elimination snapshots) must be
-// invisible in the analysis results: for every program, the engine with
-// both tiers on produces bit-identical dependence sets, distance ranges,
-// liveness decisions, pair records, and kill records to the from-scratch
-// engine with both tiers off. Checked over the whole kernel corpus and a
-// batch of random programs (the RandomProgramTest generator's shapes:
-// triangular bounds, strides, coupled subscripts).
+// The pair quick tests must be invisible in the analysis results: for
+// every program, the engine with the tier on produces bit-identical
+// dependence sets, distance ranges, liveness decisions, pair records, and
+// kill records to the engine with it off (every query sent to the Omega
+// test). Checked over the whole kernel corpus and a batch of random
+// programs (the RandomProgramTest generator's shapes: triangular bounds,
+// strides, coupled subscripts).
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +67,6 @@ std::string analyzeAndRender(const ir::AnalyzedProgram &AP, bool Tiers) {
   Req.Jobs = 1;
   Req.UseQueryCache = false;
   Req.PairQuickTests = Tiers;
-  Req.Incremental = Tiers;
   engine::DependenceEngine Engine(Req);
   return renderResult(Engine.analyze(AP));
 }
@@ -187,21 +186,25 @@ TEST(PairSolverDifferential, CorpusResultsIdentical) {
 }
 
 TEST(PairSolverDifferential, EachTierAloneIsInvisible) {
-  auto render = [](const ir::AnalyzedProgram &AP, bool Quick, bool Inc) {
+  // Against a base with every optional mechanism off, switching on just
+  // the quick tests, just the query cache, or just the parallel scheduler
+  // must not move a byte of the result.
+  auto render = [](const ir::AnalyzedProgram &AP, bool Quick, bool Cache,
+                   unsigned Jobs) {
     engine::AnalysisRequest Req;
-    Req.Jobs = 1;
-    Req.UseQueryCache = false;
+    Req.Jobs = Jobs;
+    Req.UseQueryCache = Cache;
     Req.PairQuickTests = Quick;
-    Req.Incremental = Inc;
     engine::DependenceEngine Engine(Req);
     return renderResult(Engine.analyze(AP));
   };
   for (const kernels::Kernel &K : kernels::corpus()) {
     ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
     ASSERT_TRUE(AP.ok()) << K.Name;
-    std::string Base = render(AP, false, false);
-    EXPECT_EQ(render(AP, true, false), Base) << K.Name << " (quick only)";
-    EXPECT_EQ(render(AP, false, true), Base) << K.Name << " (snap only)";
+    std::string Base = render(AP, false, false, 1);
+    EXPECT_EQ(render(AP, true, false, 1), Base) << K.Name << " (quick only)";
+    EXPECT_EQ(render(AP, false, true, 1), Base) << K.Name << " (cache only)";
+    EXPECT_EQ(render(AP, false, false, 4), Base) << K.Name << " (jobs 4)";
   }
 }
 

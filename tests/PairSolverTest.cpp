@@ -1,11 +1,9 @@
 //===- tests/PairSolverTest.cpp -------------------------------------------===//
 //
-// Unit tests for the incremental pair-solving tiers: elimination
-// snapshots (states, soundness of delta replay), the ZIV/GCD/bounds
-// quick-test pre-filter with its per-class counters, and the counter
-// invariants the profile report relies on (quick-test classes sum to
-// QuickTestDecided; Figure-6 query classes still sum to
-// SatisfiabilityCalls; snapshot reuses never masquerade as cache hits).
+// Unit tests for the pair solver: the ZIV/GCD/bounds quick-test
+// pre-filter with its per-class counters, and the counter invariants the
+// profile report relies on (quick-test classes sum to QuickTestDecided;
+// Figure-6 query classes sum to SatisfiabilityCalls).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,8 +12,6 @@
 #include "ir/Sema.h"
 #include "kernels/Kernels.h"
 #include "obs/Trace.h"
-#include "omega/Satisfiability.h"
-#include "omega/Snapshot.h"
 #include "oracle/TraceOracle.h"
 
 #include <gtest/gtest.h>
@@ -24,122 +20,27 @@ using namespace omega;
 
 namespace {
 
-engine::AnalysisResult analyzeWith(const std::string &Source,
-                                   bool QuickTests, bool Incremental,
-                                   bool UseCache = false) {
-  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
-  EXPECT_TRUE(AP.ok()) << Source;
+/// The result points into \p AP, which must outlive it.
+engine::AnalysisResult analyzeWith(const ir::AnalyzedProgram &AP,
+                                   bool QuickTests) {
   engine::AnalysisRequest Req;
   Req.Jobs = 1;
-  Req.UseQueryCache = UseCache;
+  Req.UseQueryCache = false;
   Req.PairQuickTests = QuickTests;
-  Req.Incremental = Incremental;
   engine::DependenceEngine Engine(Req);
   return Engine.analyze(AP);
 }
 
+/// For tests that read only counters and shapes: the accesses the result
+/// points at are gone when it returns.
+engine::AnalysisResult analyzeWith(const std::string &Source,
+                                   bool QuickTests) {
+  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+  EXPECT_TRUE(AP.ok()) << Source;
+  return analyzeWith(AP, QuickTests);
+}
+
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// EliminationSnapshot
-//===----------------------------------------------------------------------===//
-
-TEST(Snapshot, ExactEliminationPreservesSatUnderDeltas) {
-  // x is the delta variable; y (equality-bound) and z (inequality-bound)
-  // are eliminable. The reduced system answered with an extra delta row
-  // must agree with the full system.
-  Problem P;
-  VarId X = P.addVar("x");
-  VarId Y = P.addVar("y");
-  VarId Z = P.addVar("z");
-  P.addGEQ({{X, 1}}, -1);  // x >= 1
-  P.addGEQ({{X, -1}}, 10); // x <= 10
-  P.addEQ({{Y, 1}, {X, -1}}, -1); // y == x + 1
-  P.addGEQ({{Z, 1}}, 0);          // 0 <= z <= 5
-  P.addGEQ({{Z, -1}}, 5);
-  P.addGEQ({{Y, -1}, {Z, 1}}, 20); // y <= z + 20
-
-  OmegaContext Ctx;
-  std::vector<bool> Keep(P.getNumVars(), false);
-  Keep[X] = true;
-  EliminationSnapshot Snap(P, Keep, Ctx);
-  ASSERT_EQ(Snap.state(), EliminationSnapshot::State::Ready);
-  EXPECT_EQ(Ctx.Stats.SnapshotBuilds, 1u);
-  EXPECT_TRUE(Snap.eliminated(Y));
-  EXPECT_TRUE(Snap.eliminated(Z));
-
-  for (int64_t Lo : {0, 5, 11}) {
-    Problem Full = P;
-    Full.addGEQ({{X, 1}}, -Lo); // x >= Lo
-    Problem Reduced = Snap.reduced();
-    Reduced.addGEQ({{X, 1}}, -Lo);
-    EXPECT_TRUE(Snap.deltasCompatible(Reduced));
-    EXPECT_EQ(isSatisfiable(Reduced, SatOptions(), Ctx),
-              isSatisfiable(Full, SatOptions(), Ctx))
-        << "x >= " << Lo;
-  }
-}
-
-TEST(Snapshot, ContradictionAmongEliminatedVarsProvesUnsat) {
-  Problem P;
-  VarId X = P.addVar("x");
-  VarId Y = P.addVar("y");
-  P.addGEQ({{X, 1}}, 0);
-  P.addGEQ({{Y, 1}}, -10); // y >= 10
-  P.addGEQ({{Y, -1}}, 5);  // y <= 5
-  OmegaContext Ctx;
-  std::vector<bool> Keep(P.getNumVars(), false);
-  Keep[X] = true;
-  EliminationSnapshot Snap(P, Keep, Ctx);
-  EXPECT_EQ(Snap.state(), EliminationSnapshot::State::ProvedUnsat);
-}
-
-TEST(Snapshot, SaturatedArithmeticRefusesToServe) {
-  // An exact-looking elimination whose combination product overflows the
-  // coefficient cap: y has coefficient 1 below and 2^32 above (the unit z
-  // keeps the row's gcd at 1 so normalization cannot shrink it), so the
-  // FM step multiplies 2^32 * 2^32 past CoeffCap. The snapshot must land
-  // in Saturated -- clamped rows are garbage -- and the solver then takes
-  // the scratch path (see SaturatedOrIncompatibleDeltasFallBackToScratch).
-  constexpr int64_t Big = int64_t(1) << 32;
-  Problem P;
-  VarId X = P.addVar("x");
-  VarId Z = P.addVar("z");
-  VarId Y = P.addVar("y");
-  P.addGEQ({{Y, 1}, {X, -Big}}, 0);  // y >= Big*x
-  P.addGEQ({{Y, -Big}, {Z, -1}}, 1); // Big*y + z <= 1
-  P.addGEQ({{X, 1}}, 0);
-  P.addGEQ({{X, -1}}, 10);
-  P.addGEQ({{Z, 1}}, 0);
-  P.addGEQ({{Z, -1}}, 10);
-  OmegaContext Ctx;
-  std::vector<bool> Keep(P.getNumVars(), false);
-  Keep[X] = true;
-  Keep[Z] = true;
-  EliminationSnapshot Snap(P, Keep, Ctx);
-  EXPECT_EQ(Snap.state(), EliminationSnapshot::State::Saturated);
-}
-
-TEST(Snapshot, DeltaOnEliminatedVarIsIncompatible) {
-  Problem P;
-  VarId X = P.addVar("x");
-  VarId Z = P.addVar("z");
-  P.addGEQ({{X, 1}}, 0);
-  P.addGEQ({{Z, 1}}, 0);
-  P.addGEQ({{Z, -1}}, 5);
-  OmegaContext Ctx;
-  std::vector<bool> Keep(P.getNumVars(), false);
-  Keep[X] = true;
-  EliminationSnapshot Snap(P, Keep, Ctx);
-  ASSERT_EQ(Snap.state(), EliminationSnapshot::State::Ready);
-  ASSERT_TRUE(Snap.eliminated(Z));
-  Problem Case = Snap.reduced();
-  Case.addGEQ({{Z, 1}}, -1); // touches the eliminated z
-  EXPECT_FALSE(Snap.deltasCompatible(Case));
-  Problem Ok = Snap.reduced();
-  Ok.addGEQ({{X, 1}}, -1);
-  EXPECT_TRUE(Snap.deltasCompatible(Ok));
-}
 
 //===----------------------------------------------------------------------===//
 // Quick-test pre-filter
@@ -149,7 +50,7 @@ TEST(PairQuickTests, ZIVDecidesConstantSubscripts) {
   engine::AnalysisResult R = analyzeWith("for i := 0 to 9 do\n"
                                          "  a(0) := a(1) + 1;\n"
                                          "endfor\n",
-                                         true, true);
+                                         true);
   EXPECT_GT(R.Stats.QuickTestZIV, 0u);
   EXPECT_EQ(R.Stats.QuickTestZIV + R.Stats.QuickTestGCD +
                 R.Stats.QuickTestBounds + R.Stats.QuickTestTrivialDep,
@@ -163,7 +64,7 @@ TEST(PairQuickTests, GCDDecidesParityMismatch) {
   engine::AnalysisResult R = analyzeWith("for i := 0 to 9 do\n"
                                          "  a(2*i) := a(2*i + 1) + 1;\n"
                                          "endfor\n",
-                                         true, true);
+                                         true);
   EXPECT_GT(R.Stats.QuickTestGCD, 0u);
   EXPECT_TRUE(R.Flow.empty());
   EXPECT_TRUE(R.Anti.empty());
@@ -173,7 +74,7 @@ TEST(PairQuickTests, BoundsDecideDisjointIntervals) {
   engine::AnalysisResult R = analyzeWith("for i := 0 to 4 do\n"
                                          "  a(i) := a(i + 7) + 1;\n"
                                          "endfor\n",
-                                         true, true);
+                                         true);
   EXPECT_GT(R.Stats.QuickTestBounds, 0u);
   EXPECT_TRUE(R.Flow.empty());
   EXPECT_TRUE(R.Anti.empty());
@@ -182,7 +83,7 @@ TEST(PairQuickTests, BoundsDecideDisjointIntervals) {
 TEST(PairQuickTests, TrivialDependenceOutsideLoops) {
   engine::AnalysisResult R = analyzeWith("a(3) := 1;\n"
                                          "b(0) := a(3) + 2;\n",
-                                         true, true);
+                                         true);
   EXPECT_GT(R.Stats.QuickTestTrivialDep, 0u);
   ASSERT_EQ(R.Flow.size(), 1u);
   ASSERT_EQ(R.Flow[0].Splits.size(), 1u);
@@ -193,69 +94,55 @@ TEST(PairQuickTests, DisabledTierLeavesCountersZero) {
   engine::AnalysisResult R = analyzeWith("for i := 0 to 4 do\n"
                                          "  a(i) := a(i + 7) + 1;\n"
                                          "endfor\n",
-                                         false, true);
+                                         false);
   EXPECT_EQ(R.Stats.QuickTestDecided, 0u);
   EXPECT_TRUE(R.Flow.empty()); // the Omega test agrees, just slower
 }
 
 //===----------------------------------------------------------------------===//
-// Counter invariants (the stats-asymmetry satellite)
+// Counter invariants
 //===----------------------------------------------------------------------===//
 
-TEST(PairSolverCounters, SnapshotReusesAreNotCacheHits) {
-  // With the query cache off, nothing may report a cache hit -- snapshot
-  // replays have their own counter.
-  engine::AnalysisResult R =
-      analyzeWith(kernels::cholsky(), true, true, /*UseCache=*/false);
-  EXPECT_GT(R.Stats.SnapshotBuilds, 0u);
-  EXPECT_GT(R.Stats.SnapshotReuses, 0u);
-  EXPECT_EQ(R.Stats.SatCacheHits, 0u);
-  EXPECT_EQ(R.Stats.SatCacheMisses, 0u);
-}
-
-TEST(PairSolverCounters, SaturatedOrIncompatibleDeltasFallBackToScratch) {
-  // Two distinct symbolic constants scaled by 2^32 - 1: the shared-system
-  // elimination cannot serve these queries (the reduction either saturates
-  // or leaves the delta rows touching an eliminated column), so every case
-  // must take the from-scratch path -- and produce exactly the dependences
-  // the non-incremental configuration reports.
+TEST(PairSolverCounters, HugeCoefficientsAgreeAcrossQuickTests) {
+  // Two distinct symbolic constants scaled by 2^32 - 1 push the Omega
+  // test's arithmetic toward its coefficient cap; the dependences must
+  // not depend on whether the quick tests screened the pair first.
   const std::string Source = "for i := 0 to 9 do\n"
                              "  a(4294967295*n + i) := a(4294967295*m + i + 1) + 1;\n"
                              "endfor\n";
-  engine::AnalysisResult Inc = analyzeWith(Source, true, true);
-  EXPECT_GT(Inc.Stats.SnapshotBuilds, 0u);
-  EXPECT_GT(Inc.Stats.SnapshotFallbacks, 0u);
-  engine::AnalysisResult Scratch = analyzeWith(Source, true, false);
-  EXPECT_EQ(Scratch.Stats.SnapshotFallbacks, 0u);
-  EXPECT_EQ(oracle::summarizeDependences(Inc),
-            oracle::summarizeDependences(Scratch));
+  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+  ASSERT_TRUE(AP.ok());
+  engine::AnalysisResult On = analyzeWith(AP, true);
+  engine::AnalysisResult Off = analyzeWith(AP, false);
+  EXPECT_EQ(Off.Stats.QuickTestDecided, 0u);
+  EXPECT_EQ(oracle::summarizeDependences(On),
+            oracle::summarizeDependences(Off));
 }
 
 TEST(PairSolverCounters, EmptyIterationSpaceShortCircuits) {
   // The inner loop never executes, so the shared pair system is already
-  // unsatisfiable before any ordering rows: the snapshot proves unsat once
-  // and answers every (kind, level) case by reuse, with no dependences in
-  // either configuration.
+  // unsatisfiable before any ordering rows: every (kind, level) case is
+  // unsat and no dependence survives, with or without the quick tests.
   const std::string Source = "for i := 0 to 9 do\n"
                              "  for j := 5 to 4 do\n"
                              "    a(i + j) := a(i + j) + 1;\n"
                              "  endfor\n"
                              "endfor\n";
-  engine::AnalysisResult Inc = analyzeWith(Source, true, true);
-  EXPECT_GT(Inc.Stats.SnapshotBuilds, 0u);
-  EXPECT_GT(Inc.Stats.SnapshotReuses, 0u);
-  EXPECT_EQ(Inc.Stats.SnapshotFallbacks, 0u);
-  EXPECT_TRUE(Inc.Flow.empty());
-  EXPECT_TRUE(Inc.Anti.empty());
-  EXPECT_TRUE(Inc.Output.empty());
-  engine::AnalysisResult Scratch = analyzeWith(Source, true, false);
-  EXPECT_EQ(oracle::summarizeDependences(Inc),
-            oracle::summarizeDependences(Scratch));
+  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+  ASSERT_TRUE(AP.ok());
+  engine::AnalysisResult On = analyzeWith(AP, true);
+  EXPECT_GT(On.Stats.SatisfiabilityCalls, 0u);
+  EXPECT_TRUE(On.Flow.empty());
+  EXPECT_TRUE(On.Anti.empty());
+  EXPECT_TRUE(On.Output.empty());
+  engine::AnalysisResult Off = analyzeWith(AP, false);
+  EXPECT_EQ(oracle::summarizeDependences(On),
+            oracle::summarizeDependences(Off));
 }
 
 TEST(PairSolverCounters, ProfileClassesSumToSatCalls) {
-  // Every satisfiability query -- including ones answered on a snapshot --
-  // lands in exactly one Figure-6 class of the profile report.
+  // Every satisfiability query lands in exactly one Figure-6 class of the
+  // profile report.
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::cholsky());
   ASSERT_TRUE(AP.ok());
   obs::Tracer T;
@@ -264,7 +151,7 @@ TEST(PairSolverCounters, ProfileClassesSumToSatCalls) {
   Req.Trace = &T;
   engine::DependenceEngine Engine(Req);
   engine::AnalysisResult R = Engine.analyze(AP);
-  EXPECT_GT(R.Stats.SnapshotReuses, 0u);
+  EXPECT_GT(R.Stats.SatisfiabilityCalls, 0u);
   obs::ProfileData P = T.profile();
   EXPECT_EQ(P.Classes.total(), P.Stats.SatisfiabilityCalls);
   EXPECT_EQ(P.Stats.SatisfiabilityCalls, R.Stats.SatisfiabilityCalls);

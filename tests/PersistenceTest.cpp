@@ -156,8 +156,9 @@ TEST(Persistence, CorruptFilesAreRejectedToColdStart) {
   EXPECT_GT(Fine.size(), 0u);
 }
 
-// load() replaces earlier contents (the persisted set, nothing else) and
-// snapshots never persist: a loaded cache holds only sat/gist entries.
+// load() replaces earlier contents (the persisted set, nothing else), and
+// the cache holds only sat/gist entries, so every one of them persists: a
+// loaded cache is exactly as large as the one that was saved.
 TEST(Persistence, LoadReplacesAndSnapshotsStayInMemory) {
   engine::DependenceEngine Engine(cachedSerialRequest());
   ASSERT_GT(warm(Engine), 0u);
@@ -170,9 +171,7 @@ TEST(Persistence, LoadReplacesAndSnapshotsStayInMemory) {
   std::string Err;
   ASSERT_TRUE(Other.load(In1, Err)) << Err;
   std::size_t Persisted = Other.size();
-  // The engine's cache also holds shared snapshots; those are in-memory
-  // only, so the persisted entry count is strictly smaller.
-  EXPECT_LT(Persisted, Live);
+  EXPECT_EQ(Persisted, Live);
   EXPECT_GT(Persisted, 0u);
 
   // Re-loading on top of existing contents replaces, not merges.

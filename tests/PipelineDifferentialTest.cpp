@@ -6,7 +6,7 @@
 //    executes every pipelined schedule the planner emits -- for the whole
 //    kernel/example corpus and for hundreds of seeded random programs --
 //    and requires final memory to match the original program;
-//  * the schema-4 "pipeline" response block must be byte-identical across
+//  * the schema-5 "pipeline" response block must be byte-identical across
 //    jobs 1 vs 4, with and without the cross-request result store, and
 //    invariant under label-preserving source reformatting (comments and
 //    blank lines), the same determinism gate the rest of "result" obeys.
@@ -50,7 +50,7 @@ unsigned checkSchedules(const std::string &Name, const std::string &Source) {
   return R.PlansChecked;
 }
 
-/// Renders the full schema-4 result (pipeline block included) from a
+/// Renders the full schema-5 result (pipeline block included) from a
 /// fresh engine run with \p Jobs workers and optional result store.
 std::string renderWithPipeline(const ir::AnalyzedProgram &AP, unsigned Jobs,
                                engine::ResultStore *Store = nullptr) {
@@ -145,7 +145,7 @@ TEST(PipelineDifferential, ResponseBlockInvariantUnderReformatting) {
 
 TEST(PipelineDifferential, PipelineOptInOnlyAppends) {
   // Requesting the pipeline block must not perturb the base result: the
-  // schema-4 document with the block is the one without it, extended.
+  // schema-5 document with the block is the one without it, extended.
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::cholsky());
   ASSERT_TRUE(AP.ok());
   engine::AnalysisRequest Req;

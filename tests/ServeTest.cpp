@@ -103,7 +103,7 @@ std::string errorCode(const std::string &Response) {
 }
 
 /// One-shot reference: a fresh engine run rendered through the same
-/// schema-4 result renderer (what `omega-analyze --json` emits).
+/// schema-5 result renderer (what `omega-analyze --json` emits).
 std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs,
                           bool Cache) {
   engine::AnalysisRequest Req;
@@ -372,9 +372,8 @@ TEST(Serve, PerRequestOptionsAreHonored) {
   std::string Expected = oneShotResult(AP, 1, false);
 
   for (const char *Opts :
-       {"{\"quicktests\": false}", "{\"incremental\": false}",
-        "{\"snapshotSharing\": false}", "{\"jobs\": 3}",
-        "{\"quicktests\": false, \"incremental\": false}"}) {
+       {"{\"quicktests\": false}", "{\"jobs\": 3}",
+        "{\"quicktests\": false, \"jobs\": 3}"}) {
     std::string Resp = ask(Server, requestLine(7, Source, Opts));
     EXPECT_EQ(resultBytes(Resp), Expected) << Opts;
   }

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -261,6 +263,41 @@ TEST(Tracer, ExplainNamesOneTierPerPairTask) {
     ++Compared;
   }
   EXPECT_GT(Compared, 0u);
+}
+
+// Each access has its own explain label, so no two pair tasks share a
+// header -- not even the write and the read of a(k) in one statement of
+// induction.tiny, whose texts are identical.
+TEST(Tracer, ExplainPairHeadersAreUnique) {
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const kernels::Kernel &K : kernels::corpus())
+    Programs.push_back({K.Name, K.Source});
+  std::ifstream In(std::string(OMEGA_EXAMPLES_DIR) + "/induction.tiny");
+  ASSERT_TRUE(In.is_open());
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  Programs.push_back({"induction.tiny", Buf.str()});
+
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+    if (!AP.ok())
+      continue;
+    obs::Tracer T;
+    engine::AnalysisRequest Req;
+    Req.Trace = &T;
+    engine::DependenceEngine Engine(Req);
+    (void)Engine.analyze(AP);
+    std::istringstream Log(T.explainLog());
+    std::set<std::string> Seen;
+    std::string Line;
+    while (std::getline(Log, Line))
+      if (Line.compare(0, 5, "pair ") == 0)
+        EXPECT_TRUE(Seen.insert(Line).second) << "duplicate header: " << Line;
+    if (Name == "induction.tiny")
+      EXPECT_NE(Seen.find("pair s1 a(k) (read #0) <-> s1 a(k) (write #4):"),
+                Seen.end());
+  }
 }
 
 // The sinks stay well-formed on a real engine run, and the calc directive

@@ -11,7 +11,7 @@
 // Options are the shared api::AnalysisOptions surface (see --help; the
 // same table drives omega-calc and omega-serve), plus two tool-specific
 // arguments: the input file positional and `--sym name=value` symbol
-// bindings for --run. Machine-readable output (--json) is the schema-4
+// bindings for --run. Machine-readable output (--json) is the schema-5
 // response document of api/Response.h, byte-identical in its "result"
 // section to an omega-serve response for the same program.
 //
@@ -192,8 +192,6 @@ int main(int Argc, char **Argv) {
   }
 
   engine::DependenceEngine Engine(Req);
-  if (Engine.cache())
-    Engine.cache()->setSnapshotCapacity(Opts.SnapshotCacheCap);
   // --cache-file warm-starts the engine's cache the way omega-serve does;
   // a missing or invalid file is simply a cold start.
   if (!Opts.CacheFile.empty() && Engine.cache()) {
@@ -311,16 +309,12 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Stats.InexactEliminations),
                 static_cast<unsigned long long>(R.Stats.SplintersExplored));
     std::printf("pair tiers: %llu decided by quick tests (%llu ziv, %llu "
-                "gcd, %llu bounds, %llu trivial), %llu snapshot reuses / "
-                "%llu builds (%llu fallbacks)\n",
+                "gcd, %llu bounds, %llu trivial)\n",
                 static_cast<unsigned long long>(R.Stats.QuickTestDecided),
                 static_cast<unsigned long long>(R.Stats.QuickTestZIV),
                 static_cast<unsigned long long>(R.Stats.QuickTestGCD),
                 static_cast<unsigned long long>(R.Stats.QuickTestBounds),
-                static_cast<unsigned long long>(R.Stats.QuickTestTrivialDep),
-                static_cast<unsigned long long>(R.Stats.SnapshotReuses),
-                static_cast<unsigned long long>(R.Stats.SnapshotBuilds),
-                static_cast<unsigned long long>(R.Stats.SnapshotFallbacks));
+                static_cast<unsigned long long>(R.Stats.QuickTestTrivialDep));
     std::printf("query cache: %llu/%llu sat hits, %llu/%llu gist hits, "
                 "%llu entries\n",
                 static_cast<unsigned long long>(R.Cache.SatHits),

@@ -14,9 +14,9 @@
 //   projection: { i >= 1; -i >= -9; ... }
 //
 // With a file argument (or piped stdin) the whole script runs at once.
-// The ablation toggles are the shared api option surface (--help); the
-// matching script directives (`quicktests off;`, `incremental off;`)
-// steer the same context switches mid-script.
+// The ablation toggle is the shared api option surface (--help); the
+// matching script directive (`quicktests off;`) steers the same context
+// switch mid-script.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +67,6 @@ int main(int Argc, char **Argv) {
 
   calc::Calculator Calc;
   Calc.context().PairQuickTests = Parsed.Options.PairQuickTests;
-  Calc.context().IncrementalSnapshots = Parsed.Options.Incremental;
 
   if (!Script.empty() && Script != "-") {
     std::ifstream In(Script);

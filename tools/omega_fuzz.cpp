@@ -15,8 +15,8 @@
 //    evaluation over the generated box guards.
 //  * Programs: the trace oracle (memory- and value-based witnesses from
 //    real execution) against the Section 4 engine, run under every
-//    ablation combination (pair quick tests on/off, incremental snapshots
-//    on/off, jobs 1 vs N) with structural results required identical;
+//    ablation combination (pair quick tests on/off, jobs 1 vs N) with
+//    structural results required identical;
 //    plus loop-bound-widening monotonicity.
 //
 // Any mismatch is delta-debugged to a minimal reproducer (a calc script

@@ -9,7 +9,7 @@
 //
 //   $ omega-serve --workers 4 --cache-file /tmp/omega.qc
 //   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }"}
-//   {"schema": 4, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
+//   {"schema": 5, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
 //
 // Every response's "result" section is byte-identical to a one-shot
 // `omega-analyze --json` run of the same program: the engine's structural
